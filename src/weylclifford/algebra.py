@@ -24,14 +24,13 @@ monomial; exponents are restricted to non-negative integers.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 
-from .cyclotomic import CyclotomicNumber, OrderMismatchError, root_of_unity, totient
+from .cyclotomic import CyclotomicNumber, OrderMismatchError, root_of_unity
 
 __all__ = [
     "AlgebraSignature",
@@ -380,14 +379,14 @@ def group_phase_table(steps):
     if any(a == 0 for a in steps):
         raise ValueError("step parameters must be nonzero")
     m = len(steps)
-    # commutation exponent a_k * b_k / lam with b_k = lam / a_k
-    unit = [a * (Fraction(1) / a) for a in steps]
 
+    # each site's commutation exponent a_k * b_k / lam, with b_k = lam / a_k,
+    # is 1, so the steps cancel out of every phase
     def mul(x, y):
         phase = x[0] + y[0]
         sites = []
-        for (p1, q1), (p2, q2), u in zip(x[1], y[1], unit):
-            phase -= u * q1 * p2  # v^{q1} u^{p2} = e^{-i lam u q1 p2} u^{p2} v^{q1}
+        for (p1, q1), (p2, q2) in zip(x[1], y[1]):
+            phase -= q1 * p2  # v^{q1} u^{p2} = e^{-i lam q1 p2} u^{p2} v^{q1}
             sites.append((p1 + p2, q1 + q2))
         return phase, tuple(sites)
 

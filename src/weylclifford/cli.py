@@ -10,13 +10,17 @@ Random coefficient streams are drawn from `sampling` (numerators
 uniform in [-9, 9], denominators in [1, 9]) seeded by --seed.
 The text format rounds floats to 6 significant digits; JSON keeps full
 precision.  WEYLCLIFFORD_TOL overrides the default tolerance when no
---tol flag is given.
+--tol flag is given; either must be a finite number > 0, else the run
+is a usage error.  The verify-lame tolerance is relative: the matrix
+residual passes when it is at most tol * max over trials of
+sum_k |a_k|^l * sqrt(dim).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -30,13 +34,19 @@ DEFAULT_TOL = 1e-10
 LAME_TOL = 1e-9
 
 
+def _positive_tol(text: str) -> float:
+    """Parse a tolerance: a finite number > 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return tol
+
+
 def _tolerance(args, fallback: float) -> float:
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get("WEYLCLIFFORD_TOL")
-    if env:
-        return float(env)
-    return fallback
+    return fallback if args.tol is None else args.tol
 
 
 def _emit(payload: dict, args, text_renderer) -> None:
@@ -112,22 +122,21 @@ def cmd_gen(args) -> int:
 def cmd_verify_lame(args) -> int:
     tol = _tolerance(args, LAME_TOL)
     sig = algebra.AlgebraSignature(args.n, args.l, mode=args.mode)
+    gens = matrep.t_generators(args.n, args.l, "tau")
     rng = random.Random(args.seed)
     sym_ok = True
     trials = []
+    max_res = scale = 0.0
     for _ in range(args.trials):
         coeffs = sampling.sample_coefficients(rng, sig.cyclotomic_order, args.n)
         ok, residual = algebra.lame_check(sig, coeffs)
         sym_ok = sym_ok and ok
         trials.append({"symbolic_pass": ok, "residual_terms": len(residual.terms)})
-    gens = matrep.t_generators(args.n, args.l, "tau")
-    rng = random.Random(args.seed)
-    max_res = 0.0
-    for _ in range(args.trials):
-        coeffs = sampling.sample_coefficients(rng, sig.cyclotomic_order, args.n)
         cvals = [complex(c.to_complex()) for c in coeffs]
         max_res = max(max_res, matrep.lame_residual(gens, cvals))
-    num_ok = max_res <= tol
+        power_sum = sum(abs(c) ** args.l for c in cvals)
+        scale = max(scale, power_sum * math.sqrt(gens.dim))
+    num_ok = max_res <= tol * scale
     passed = sym_ok and num_ok
     payload = {
         "command": "verify-lame",
@@ -291,7 +300,7 @@ def cmd_equiv(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=None, help="tolerance override")
+    p.add_argument("--tol", type=_positive_tol, default=None, help="tolerance override")
     p.add_argument("--out", default=None, help="write output to a file")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -347,6 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args) -> None:
+    env = os.environ.get("WEYLCLIFFORD_TOL")
+    if args.tol is None and env:
+        try:
+            args.tol = _positive_tol(env)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"WEYLCLIFFORD_TOL: {exc}")
     cmd = args.command
     if cmd == "gen":
         if args.n < 1:

@@ -103,15 +103,7 @@ class IntPolynomial:
             other = IntPolynomial([other])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return IntPolynomial(out)
+        return IntPolynomial(_poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -134,26 +126,12 @@ class IntPolynomial:
         """Divide exactly, raising ValueError on a nonzero remainder."""
         if not isinstance(other, IntPolynomial) or not other:
             raise ValueError("division by zero polynomial")
-        rem = [Fraction(c) for c in self.coeffs]
-        div = [Fraction(c) for c in other.coeffs]
-        dq = len(rem) - len(div)
-        if dq < 0:
-            if any(rem):
-                raise ValueError("inexact polynomial division")
-            return IntPolynomial()
-        quo = [Fraction(0)] * (dq + 1)
-        lead = div[-1]
-        for i in range(dq, -1, -1):
-            c = rem[i + len(div) - 1] / lead
-            quo[i] = c
-            if c:
-                for j, dj in enumerate(div):
-                    rem[i + j] -= c * dj
+        quo, rem = _poly_divmod(self.coeffs, other.coeffs)
         if any(rem):
             raise ValueError("inexact polynomial division")
         if any(q.denominator != 1 for q in quo):
             raise ValueError("non-integer quotient")
-        return IntPolynomial([int(q) for q in quo])
+        return IntPolynomial(quo)
 
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)!r})"
@@ -182,21 +160,39 @@ def totient(m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _zeta_power_row(m: int, e: int) -> tuple:
-    """Integer coordinates of zeta_m^e in the power basis mod Phi_m."""
+def _zeta_rows(m: int) -> tuple:
+    """Integer coordinates of zeta_m^e mod Phi_m for e = 0..m-1.
+
+    Row e+1 is row e shifted up one degree, with the overflowing
+    zeta^d, d = deg Phi_m, rewritten as -(Phi_m(zeta) - zeta^d).
+    """
     phi = cyclotomic_polynomial(m).coeffs
     d = len(phi) - 1
-    e %= m
-    if e < d:
-        row = [0] * d
-        row[e] = 1
-        return tuple(row)
-    prev = _zeta_power_row(m, e - 1)
-    lead = prev[d - 1]
-    row = [0] + list(prev[: d - 1])
-    if lead:
-        row = [c - lead * p for c, p in zip(row, phi[:d])]
-    return tuple(row)
+    rows = [tuple(int(i == e) for i in range(d)) for e in range(d)]
+    for _ in range(d, m):
+        prev = rows[-1]
+        lead = prev[-1]
+        rows.append(tuple(c - lead * p for c, p in zip((0,) + prev[:-1], phi)))
+    return tuple(rows)
+
+
+def _reduce(m: int, coeffs) -> list:
+    """Coordinates mod Phi_m of sum_e coeffs[e] * zeta_m^e (integers).
+
+    The low d = deg Phi_m coefficients are already coordinates; only
+    exponents e >= d are folded in through the table rows.
+    """
+    rows = _zeta_rows(m)
+    d = len(rows[0])
+    vec = list(coeffs[:d])
+    vec += [0] * (d - len(vec))
+    for e in range(d, len(coeffs)):
+        c = coeffs[e]
+        if c:
+            for i, r in enumerate(rows[e % m]):
+                if r:
+                    vec[i] += c * r
+    return vec
 
 
 def _unit_exp(e: int, m: int) -> complex:
@@ -233,21 +229,11 @@ class CyclotomicNumber:
     def __init__(self, order: int, coeffs):
         if order < 1:
             raise ValueError("cyclotomic order must be a positive integer")
-        d = totient(order)
         fr = [Fraction(c) for c in coeffs]
         den = 1
         for f in fr:
             den = den * f.denominator // gcd(den, f.denominator)
-        ints = [int(f * den) for f in fr]
-        vec = [0] * d
-        for e, c in enumerate(ints):
-            if c:
-                if e < d:
-                    vec[e] += c
-                else:
-                    row = _zeta_power_row(order, e)
-                    for i, r in enumerate(row):
-                        vec[i] += c * r
+        vec = _reduce(order, [int(f * den) for f in fr])
         self.order = order
         self._num, self._den = _normalize(vec, den)
 
@@ -330,22 +316,7 @@ class CyclotomicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._num, o._num
-        d = len(a)
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        vec = conv[:d]
-        for e in range(d, len(conv)):
-            c = conv[e]
-            if c:
-                row = _zeta_power_row(self.order, e)
-                for i, r in enumerate(row):
-                    if r:
-                        vec[i] += c * r
+        vec = _reduce(self.order, _poly_mul(self._num, o._num))
         num, den = _normalize(vec, self._den * o._den)
         return CyclotomicNumber._raw(self.order, num, den)
 
@@ -355,10 +326,9 @@ class CyclotomicNumber:
         """Field inverse via the extended Euclidean algorithm mod Phi_m."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order).coeffs]
         a = [Fraction(n, self._den) for n in self._num]
         # invariants: s0*self == r0, s1*self == r1  (mod Phi_m)
-        r0, r1 = phi, _trim(a)
+        r0, r1 = cyclotomic_polynomial(self.order).coeffs, _trim(a)
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while len(r1) > 1:
             q, r = _poly_divmod(r0, r1)
@@ -399,13 +369,10 @@ class CyclotomicNumber:
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugate (the automorphism zeta -> zeta^{-1})."""
         m = self.order
-        d = len(self._num)
-        vec = [0] * d
+        coeffs = [0] * m
         for e, c in enumerate(self._num):
-            if c:
-                row = _zeta_power_row(m, (m - e) % m)
-                for i, r in enumerate(row):
-                    vec[i] += c * r
+            coeffs[-e % m] = c
+        vec = _reduce(m, coeffs)
         num, den = _normalize(vec, self._den)
         return CyclotomicNumber._raw(m, num, den)
 
@@ -416,13 +383,10 @@ class CyclotomicNumber:
                 f"cannot lift order {self.order} into order {new_order}"
             )
         k = new_order // self.order
-        d = totient(new_order)
-        vec = [0] * d
+        coeffs = [0] * new_order
         for e, c in enumerate(self._num):
-            if c:
-                row = _zeta_power_row(new_order, e * k)
-                for i, r in enumerate(row):
-                    vec[i] += c * r
+            coeffs[e * k] = c
+        vec = _reduce(new_order, coeffs)
         num, den = _normalize(vec, self._den)
         return CyclotomicNumber._raw(new_order, num, den)
 
@@ -483,8 +447,7 @@ def root_of_unity(order: int, k: int = 1) -> CyclotomicNumber:
     """zeta_order^k as an exact cyclotomic number."""
     if order < 1:
         raise ValueError("cyclotomic order must be a positive integer")
-    row = _zeta_power_row(order, k % order)
-    return CyclotomicNumber._raw(order, row, 1)
+    return CyclotomicNumber._raw(order, _zeta_rows(order)[k % order], 1)
 
 
 def _trim(p):
@@ -502,23 +465,26 @@ def _poly_sub(a, b):
 
 
 def _poly_mul(a, b):
+    """Product of two dense coefficient lists (ascending degree)."""
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] += ai * bj
+                if bj:
+                    out[i + j] += ai * bj
     return out
 
 
 def _poly_divmod(a, b):
-    rem = list(a)
+    """Quotient and remainder of dense rational coefficient lists."""
+    rem = [Fraction(c) for c in a]
     dq = len(rem) - len(b)
     if dq < 0:
         return [], rem
     quo = [Fraction(0)] * (dq + 1)
-    lead = b[-1]
+    lead = Fraction(b[-1])
     for i in range(dq, -1, -1):
         c = rem[i + len(b) - 1] / lead
         quo[i] = c

@@ -17,11 +17,11 @@ relates to them by
 which is checked exactly in the tests (the lam power collapses to 1 in
 the vanishing middle range and whenever lam^{l(l-1)/2} = 1).
 
-Two evaluation modes: a formal one over integer polynomials in lam
-(the ground truth; quotients are exact polynomial divisions) and a
-cyclotomic one that divides in Q(zeta_m) when the denominators are
-invertible and otherwise evaluates the formal polynomial -- never a
-division by zero.
+Everything is computed once over integer polynomials in a formal lam
+(quotients are exact polynomial divisions, cached per (l, k)).  An
+exact lam in Q(zeta_m) is handled by evaluating that formal polynomial
+at lam, so no field division happens and a vanishing q-factorial needs
+no special case.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from . import algebra
 from .cyclotomic import CyclotomicNumber, IntPolynomial, root_of_unity
@@ -58,6 +57,17 @@ def _r_coeffs_formal(l: int):
     return tuple(coeffs)
 
 
+def _at(poly: IntPolynomial, lam):
+    """poly unchanged for a formal lam=None, else poly(lam) in lam's field."""
+    if lam is None:
+        return poly
+    if not isinstance(lam, CyclotomicNumber):
+        raise TypeError("lam must be a CyclotomicNumber (or None for formal)")
+    # the zero polynomial evaluates to the int 0; adding the field's zero
+    # keeps every result in Q(zeta_m) of lam's order
+    return CyclotomicNumber.zero(lam.order) + poly(lam)
+
+
 def r_poly(k: int, l: int, lam=None):
     """Coefficient of x^k in prod_{j=0}^{l-1} (x - lam^j).
 
@@ -66,51 +76,24 @@ def r_poly(k: int, l: int, lam=None):
     """
     if l < 0 or not 0 <= k <= l:
         raise ValueError("need 0 <= k <= l")
-    if lam is None:
-        return _r_coeffs_formal(l)[k]
-    if not isinstance(lam, CyclotomicNumber):
-        raise TypeError("lam must be a CyclotomicNumber (or None for formal)")
-    one = CyclotomicNumber.one(lam.order)
-    zero = CyclotomicNumber.zero(lam.order)
-    coeffs = [one]
-    power = one
-    for j in range(l):
-        nxt = [zero] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - power * c
-        coeffs = nxt
-        power = power * lam
-    return coeffs[k]
+    return _at(_r_coeffs_formal(l)[k], lam)
 
 
 def q_int(k: int, lam=None):
     """[k]_lam = 1 + lam + ... + lam^{k-1}."""
     if k < 0:
         raise ValueError("q-integers need k >= 0")
-    if lam is None:
-        return IntPolynomial([1] * k)
-    total = CyclotomicNumber.zero(lam.order)
-    power = CyclotomicNumber.one(lam.order)
-    for _ in range(k):
-        total = total + power
-        power = power * lam
-    return total
+    return _at(IntPolynomial([1] * k), lam)
 
 
 def q_factorial(k: int, lam=None):
     """[k]_lam! = prod_{j=1}^{k} [j]_lam."""
     if k < 0:
         raise ValueError("q-factorials need k >= 0")
-    if lam is None:
-        out = IntPolynomial([1])
-        for j in range(1, k + 1):
-            out = out * q_int(j)
-        return out
-    out = CyclotomicNumber.one(lam.order)
+    out = IntPolynomial([1])
     for j in range(1, k + 1):
-        out = out * q_int(j, lam)
-    return out
+        out = out * q_int(j)
+    return _at(out, lam)
 
 
 @lru_cache(maxsize=None)
@@ -123,22 +106,13 @@ def _q_binomial_formal(l: int, k: int) -> IntPolynomial:
 def q_binomial(l: int, k: int, lam=None):
     """Gaussian binomial [l k]_lam.
 
-    Formal mode divides integer polynomials exactly.  With a cyclotomic
-    lam the quotient formula is used when both factorial denominators
-    are invertible; otherwise (lam a root of unity of small order makes
-    some [j]_lam vanish) the formal polynomial is evaluated at lam.
+    The formal quotient [l]! / ([k]! [l-k]!) is an exact polynomial
+    division; an exact lam is substituted into it afterwards, which
+    stays valid where lam makes some [j]_lam vanish.
     """
     if l < 0 or not 0 <= k <= l:
         raise ValueError("need 0 <= k <= l")
-    if lam is None:
-        return _q_binomial_formal(l, k)
-    if not isinstance(lam, CyclotomicNumber):
-        raise TypeError("lam must be a CyclotomicNumber (or None for formal)")
-    den_k = q_factorial(k, lam)
-    den_lk = q_factorial(l - k, lam)
-    if den_k.is_zero() or den_lk.is_zero():
-        return _q_binomial_formal(l, k)(lam)
-    return q_factorial(l, lam) / (den_k * den_lk)
+    return _at(_q_binomial_formal(l, k), lam)
 
 
 def _random_nonzero(rng: random.Random, order: int) -> CyclotomicNumber:

@@ -120,6 +120,34 @@ def test_verify_lame_seeded_determinism(capsys):
     assert out1 == out2
 
 
+def test_verify_lame_json_bytes_pinned(capsys):
+    # both tracks use one draw of coefficients per trial; the bytes are
+    # those the command printed when each track drew its own copy
+    args = ["verify-lame", "--n", "2", "--l", "3", "--trials", "3", "--seed", "9"]
+    rc, out, _ = run_cli(args, capsys)
+    assert rc == 0
+    trial = '{"residual_terms":0,"symbolic_pass":true}'
+    assert out == (
+        '{"command":"verify-lame","l":3,"matrix_max_residual":3.370400129833633e-14,'
+        '"mode":"strict","n":2,"passed":true,"per_trial":[' + ",".join([trial] * 3) + '],'
+        '"seed":9,"symbolic_pass":true,"tolerance":1e-09,"trials":3}\n'
+    )
+
+
+def test_verify_lame_tolerance_is_relative(capsys):
+    # the identity holds here, and the absolute residual (~1.7e-07) is
+    # ~6.6e-16 of sum_k |a_k|^l * sqrt(dim)
+    args = ["verify-lame", "--n", "3", "--l", "7", "--trials", "5", "--seed", "0"]
+    rc, out, _ = run_cli(args, capsys)
+    obj = json.loads(out)
+    assert rc == 0 and obj["passed"] and obj["symbolic_pass"]
+    assert obj["matrix_max_residual"] > obj["tolerance"]
+    # a relative tolerance below the rounding level still fails
+    rc, out, _ = run_cli(args + ["--tol", "1e-30"], capsys)
+    obj = json.loads(out)
+    assert rc == 1 and obj["symbolic_pass"] and not obj["passed"]
+
+
 def test_verify_lame_usage(capsys):
     assert usage_error_code(["verify-lame", "--n", "2", "--l", "3", "--trials", "0"], capsys) == 2
 
@@ -259,6 +287,28 @@ def test_env_tolerance_applies(monkeypatch, capsys):
     # an explicit flag wins over the environment
     rc, out, _ = run_cli(["fourier", "--l", "7", "--tol", "1e-9"], capsys)
     assert rc == 0 and json.loads(out)["passed"]
+
+
+@pytest.mark.parametrize("bad", ["nan", "-1", "0", "inf", "abc"])
+def test_malformed_tol_flag_is_usage_error(bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fourier", "--l", "5", "--tol", bad])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--tol" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan", "-1e-9"])
+def test_malformed_env_tolerance_is_usage_error(bad, monkeypatch, capsys):
+    monkeypatch.setenv("WEYLCLIFFORD_TOL", bad)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fourier", "--l", "3"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "WEYLCLIFFORD_TOL" in err and "Traceback" not in err
+    # an explicit flag is used without reading the environment
+    rc, out, _ = run_cli(["fourier", "--l", "3", "--tol", "1e-9"], capsys)
+    assert rc == 0 and json.loads(out)["tolerance"] == 1e-9
 
 
 def test_out_file_writes_payload(tmp_path, capsys):

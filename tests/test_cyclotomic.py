@@ -129,6 +129,14 @@ def test_root_inverse_is_complementary_power():
             assert root_of_unity(l, k).inverse() == root_of_unity(l, l - k)
 
 
+def test_large_order_roots_have_no_recursion_limit():
+    # the reduction table mod Phi_m is built iteratively, once per order
+    m = 2000
+    assert root_of_unity(m, m - 1) * root_of_unity(m, 1) == 1
+    for k in (1, 7, 999):
+        assert root_of_unity(m, k).inverse() == root_of_unity(m, m - k)
+
+
 def test_simplification_examples():
     # 1 + zeta + zeta^2 = 0 in Q(zeta_3)
     assert root_of_unity(3) + root_of_unity(3, 2) == -1

@@ -36,6 +36,25 @@ def gaussian_by_word_count(l, k):
     return total
 
 
+def root_product_in_field(l, lam):
+    """Independent oracle: expand prod_{j<l} (x - lam^j) with field ops.
+
+    Returns the coefficients of x^0..x^l as CyclotomicNumbers, built
+    factor by factor in Q(zeta_m) without any formal polynomial in lam.
+    """
+    one = CyclotomicNumber.one(lam.order)
+    coeffs = [one]
+    power = one
+    for _ in range(l):
+        nxt = [CyclotomicNumber.zero(lam.order)] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] = nxt[i + 1] + c
+            nxt[i] = nxt[i] - power * c
+        coeffs = nxt
+        power = power * lam
+    return coeffs
+
+
 # ---------------------------------------------------------------------------
 # r polynomials
 # ---------------------------------------------------------------------------
@@ -67,12 +86,13 @@ def test_r_poly_at_primitive_root_collapses():
 
 
 def test_r_poly_cyclotomic_matches_formal_evaluation():
-    for l in range(1, 7):
-        for order in (3, 4, 5, 8):
-            lam = root_of_unity(order)
+    # the formal polynomial at lam against the product expanded in the field
+    for l in range(0, 7):
+        for order in (1, 3, 4, 5, 8):
+            lam = root_of_unity(order, 3 if order > 3 else 1)
+            expected = root_product_in_field(l, lam)
             for k in range(l + 1):
-                formal = r_poly(k, l)
-                assert r_poly(k, l, lam) == formal(lam)
+                assert r_poly(k, l, lam) == expected[k]
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +104,10 @@ def test_q_int_and_factorial():
     assert q_int(0) == IntPolynomial([0])
     lam = root_of_unity(4)
     assert q_int(2, lam) == CyclotomicNumber(4, [1, 1])
+    # the empty sum is the field's zero, not the integer 0
+    assert q_int(0, lam) == CyclotomicNumber.zero(4)
+    assert isinstance(q_int(0, lam), CyclotomicNumber)
+    assert isinstance(q_factorial(0, lam), CyclotomicNumber)
     assert q_factorial(3) == IntPolynomial([1, 1, 1]) * IntPolynomial([1, 1])
     assert q_factorial(0) == IntPolynomial([1])
 
@@ -122,6 +146,39 @@ def test_q_pascal_recurrence():
             assert q_binomial(l, k) == q_binomial(l - 1, k - 1) + shift * q_binomial(l - 1, k)
 
 
+def test_q_pascal_recurrence_in_the_field():
+    # rows of [l k]_lam built by [l k] = [l-1 k-1] + lam^k [l-1 k] with
+    # CyclotomicNumber operations only, at orders l + 1 and 2l
+    for top in range(1, 9):
+        for order in (top + 1, 2 * top):
+            lam = root_of_unity(order)
+            one = CyclotomicNumber.one(order)
+            row = [one]
+            for l in range(1, top + 1):
+                row = [one] + [row[k - 1] + lam**k * row[k] for k in range(1, l)] + [one]
+            for k in range(top + 1):
+                assert q_binomial(top, k, lam) == row[k], (top, k, order)
+
+
+def test_q_binomial_field_quotient_where_invertible():
+    # at orders l + 1 and 2l no [j]_lam with j <= l vanishes, so the value
+    # is also the quotient of q-factorials divided in Q(zeta_m)
+    for l in range(1, 9):
+        for order in (l + 1, 2 * l):
+            lam = root_of_unity(order)
+            for k in range(l + 1):
+                den = q_factorial(k, lam) * q_factorial(l - k, lam)
+                assert q_binomial(l, k, lam) == q_factorial(l, lam) / den
+
+
+def test_non_cyclotomic_lam_is_rejected():
+    for f in (lambda: q_int(2, 1), lambda: q_factorial(2, 0.5), lambda: q_binomial(3, 1, 2)):
+        with pytest.raises(TypeError):
+            f()
+    with pytest.raises(TypeError):
+        r_poly(1, 2, 1)
+
+
 def test_q_binomial_vanishing_at_primitive_roots():
     for l in range(2, 13):
         z = root_of_unity(l)
@@ -132,8 +189,8 @@ def test_q_binomial_vanishing_at_primitive_roots():
 
 
 def test_q_binomial_zero_denominator_fallback():
-    # lam of order 3 kills [3]_lam, so the quotient route degenerates;
-    # the value must agree with the formal polynomial evaluated there
+    # lam of order 3 kills [3]_lam, so a quotient of q-factorials in the
+    # field would divide 0 by 0; the formal polynomial at lam is defined
     z3 = root_of_unity(3)
     assert q_binomial(6, 3, z3) == q_binomial(6, 3)(z3)
     assert q_binomial(6, 3, z3) == 2
