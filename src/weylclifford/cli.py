@@ -13,7 +13,10 @@ precision.  WEYLCLIFFORD_TOL overrides the default tolerance when no
 --tol flag is given; either must be a finite number > 0, else the run
 is a usage error.  The verify-lame tolerance is relative: the matrix
 residual passes when it is at most tol * max over trials of
-sum_k |a_k|^l * sqrt(dim).
+sum_k |a_k|^l * sqrt(dim).  gen, verify-lame and fourier refuse, as a
+usage error, any matrix dimension above MAX_DIM = 1024: l^ceil(n/2)
+(2^ceil(n/2) for --variant pauli) for gen and verify-lame, l for
+fourier.
 """
 
 from __future__ import annotations
@@ -28,10 +31,12 @@ import sys
 import numpy as np
 
 from . import algebra, commforms, matrep, qbinom, sampling
-from .cyclotomic import CyclotomicNumber, root_of_unity
+from .cyclotomic import root_of_unity
 
 DEFAULT_TOL = 1e-10
 LAME_TOL = 1e-9
+# largest matrix dimension gen, verify-lame and fourier will build
+MAX_DIM = 1024
 
 
 def _positive_tol(text: str) -> float:
@@ -167,12 +172,8 @@ def cmd_verify_lame(args) -> int:
 
 
 def cmd_qbinom(args) -> int:
-    if args.unit:
-        lam = CyclotomicNumber.one(1)
-        lam_order = 1
-    else:
-        lam_order = args.root if args.root is not None else args.lv
-        lam = root_of_unity(lam_order)
+    lam_order = args.root if args.root is not None else args.lv
+    lam = root_of_unity(lam_order)
     value = qbinom.q_binomial(args.lv, args.k, lam)
     approx = complex(value.to_complex())
     payload = {
@@ -331,8 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qbinom", help="deformed binomial coefficient")
     p.add_argument("lv", type=int, metavar="l")
     p.add_argument("k", type=int)
-    p.add_argument("--root", type=int, default=None, help="lambda = root of this order")
-    p.add_argument("--unit", action="store_true", help="lambda = 1")
+    lam = p.add_mutually_exclusive_group()
+    lam.add_argument("--root", type=int, default=None, help="lambda = root of this order")
+    lam.add_argument("--unit", dest="root", action="store_const", const=1,
+                     help="lambda = 1 (same as --root 1)")
     _add_common(p)
     p.set_defaults(func=cmd_qbinom)
 
@@ -355,6 +358,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_dim(parser: argparse.ArgumentParser, base: int, slots: int) -> None:
+    """Reject a dense dimension base**slots above MAX_DIM, without forming it."""
+    dim = 1
+    for _ in range(slots):
+        dim *= base
+        if dim > MAX_DIM:
+            parser.error(
+                f"matrix dimension {base}^{slots} exceeds the cap of {MAX_DIM}"
+            )
+
+
 def _validate(parser: argparse.ArgumentParser, args) -> None:
     env = os.environ.get("WEYLCLIFFORD_TOL")
     if args.tol is None and env:
@@ -371,14 +385,14 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
                 parser.error("--variant pauli requires --l 2")
         elif args.l < 2:
             parser.error("--l must be at least 2")
+        _check_dim(parser, args.l, (args.n + 1) // 2)
     elif cmd == "verify-lame":
         if args.n < 1 or args.l < 2 or args.trials < 1:
             parser.error("need --n >= 1, --l >= 2, --trials >= 1")
+        _check_dim(parser, args.l, (args.n + 1) // 2)
     elif cmd == "qbinom":
         if not 0 <= args.k <= args.lv:
             parser.error("need 0 <= k <= l")
-        if args.unit and args.root is not None:
-            parser.error("--unit and --root are mutually exclusive")
         if args.root is not None and args.root < 1:
             parser.error("--root must be positive")
     elif cmd == "forms":
@@ -387,6 +401,7 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
     elif cmd == "fourier":
         if args.l < 2:
             parser.error("--l must be at least 2")
+        _check_dim(parser, args.l, 1)
 
 
 def main(argv=None) -> int:

@@ -6,6 +6,11 @@ Reducing modulo Phi_m rather than x^m - 1 keeps the representation
 canonical and the arithmetic a field: equality is coefficient
 comparison and every nonzero element has an inverse.
 
+Every result is brought to that basis by one reduction, ``_reduce``:
+exponents are folded by zeta^m = 1, then the degrees >= d are cleared
+by synthetic division by the monic Phi_m, touching only its nonzero
+coefficients.  Nothing beyond Phi_m itself is kept per order.
+
 Coefficients are exact rationals, stored as an integer numerator
 vector over a single positive denominator with gcd(numerators,
 denominator) = 1.  There is no floating-point fallback anywhere in
@@ -160,38 +165,34 @@ def totient(m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _zeta_rows(m: int) -> tuple:
-    """Integer coordinates of zeta_m^e mod Phi_m for e = 0..m-1.
+def _phi_tail(m: int) -> tuple:
+    """d = deg Phi_m and the nonzero (j, -c_j), j < d, of Phi_m.
 
-    Row e+1 is row e shifted up one degree, with the overflowing
-    zeta^d, d = deg Phi_m, rewritten as -(Phi_m(zeta) - zeta^d).
+    Phi_m is monic, so zeta^d = sum_j -c_j zeta^j over these terms.
     """
     phi = cyclotomic_polynomial(m).coeffs
     d = len(phi) - 1
-    rows = [tuple(int(i == e) for i in range(d)) for e in range(d)]
-    for _ in range(d, m):
-        prev = rows[-1]
-        lead = prev[-1]
-        rows.append(tuple(c - lead * p for c, p in zip((0,) + prev[:-1], phi)))
-    return tuple(rows)
+    return d, tuple((j, -c) for j, c in enumerate(phi[:d]) if c)
 
 
 def _reduce(m: int, coeffs) -> list:
     """Coordinates mod Phi_m of sum_e coeffs[e] * zeta_m^e (integers).
 
-    The low d = deg Phi_m coefficients are already coordinates; only
-    exponents e >= d are folded in through the table rows.
+    Exponents are first folded by zeta^m = 1 into 0..m-1; the degrees
+    >= d = deg Phi_m are then cleared from the top down by synthetic
+    division by the monic Phi_m, one nonzero coefficient at a time.
     """
-    rows = _zeta_rows(m)
-    d = len(rows[0])
-    vec = list(coeffs[:d])
-    vec += [0] * (d - len(vec))
-    for e in range(d, len(coeffs)):
-        c = coeffs[e]
+    d, tail = _phi_tail(m)
+    vec = list(coeffs[:m])
+    for e in range(m, len(coeffs)):
+        vec[e % m] += coeffs[e]
+    for i in range(len(vec) - 1, d - 1, -1):
+        c = vec[i]
         if c:
-            for i, r in enumerate(rows[e % m]):
-                if r:
-                    vec[i] += c * r
+            for j, p in tail:
+                vec[i - d + j] += c * p
+    del vec[d:]
+    vec += [0] * (d - len(vec))
     return vec
 
 
@@ -447,7 +448,8 @@ def root_of_unity(order: int, k: int = 1) -> CyclotomicNumber:
     """zeta_order^k as an exact cyclotomic number."""
     if order < 1:
         raise ValueError("cyclotomic order must be a positive integer")
-    return CyclotomicNumber._raw(order, _zeta_rows(order)[k % order], 1)
+    coords = _reduce(order, [0] * (k % order) + [1])
+    return CyclotomicNumber._raw(order, tuple(coords), 1)
 
 
 def _trim(p):

@@ -140,14 +140,7 @@ def pauli(i: int) -> np.ndarray:
 
 def weyl_pair(l: int):
     """The clock-shift pair (U, V) at order l, U V = zeta V U."""
-    if l < 2:
-        raise ValueError("order l must be at least 2")
-    u = np.zeros((l, l), dtype=complex)
-    for j in range(l):
-        u[j, (j + 1) % l] = 1.0
-    zeta = _zeta(l)
-    v = np.diag([zeta**k for k in range(l)]).astype(complex)
-    return u, v
+    return degenerate_pair(l, 1.0, _zeta(l))
 
 
 def degenerate_pair(l: int, a: complex = 0.0, lam: complex = 1.0):

@@ -187,6 +187,13 @@ def test_qbinom_usage(capsys):
     assert usage_error_code(["qbinom", "3", "1", "--root", "0"], capsys) == 2
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_qbinom_unit_is_root_one(fmt, capsys):
+    unit = run_cli(["qbinom", "6", "3", "--unit", "--format", fmt], capsys)
+    assert unit == run_cli(["qbinom", "6", "3", "--root", "1", "--format", fmt], capsys)
+    assert unit[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # forms
 # ---------------------------------------------------------------------------
@@ -274,6 +281,35 @@ def test_equiv_perturbed_pair_fails(tmp_path, capsys):
     broken.write_text(json.dumps(blob))
     rc, _, err = run_cli(["equiv", str(broken)], capsys)
     assert rc == 1 and "standardization failed" in err
+
+
+# ---------------------------------------------------------------------------
+# dense size cap
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--n", "1", "--l", str(cli.MAX_DIM + 1)],
+    ["verify-lame", "--n", "1", "--l", str(cli.MAX_DIM + 1), "--trials", "1"],
+    ["fourier", "--l", str(cli.MAX_DIM + 1)],
+])
+def test_dimension_above_cap_is_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "exceeds the cap" in err and "Traceback" not in err
+
+
+def test_dimension_cap_boundary(monkeypatch, capsys):
+    # with the cap lowered to 9, l^ceil(n/2) = 9 is built and 27 is refused;
+    # pauli sets count 2^ceil(n/2)
+    monkeypatch.setattr(cli, "MAX_DIM", 9)
+    rc, out, _ = run_cli(["gen", "--n", "4", "--l", "3"], capsys)
+    assert rc == 0 and json.loads(out)["dim"] == 9
+    assert usage_error_code(["gen", "--n", "5", "--l", "3"], capsys) == 2
+    assert usage_error_code(["verify-lame", "--n", "5", "--l", "3"], capsys) == 2
+    assert usage_error_code(["gen", "--n", "7", "--variant", "pauli"], capsys) == 2
+    assert usage_error_code(["fourier", "--l", "10"], capsys) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,21 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weylclifford
 from weylclifford.cyclotomic import (
     CyclotomicNumber,
     IntPolynomial,
     OrderMismatchError,
+    _poly_divmod,
+    _reduce,
     cyclotomic_polynomial,
     root_of_unity,
     totient,
@@ -130,11 +137,58 @@ def test_root_inverse_is_complementary_power():
 
 
 def test_large_order_roots_have_no_recursion_limit():
-    # the reduction table mod Phi_m is built iteratively, once per order
+    # the reduction mod Phi_m is an iterative synthetic division
     m = 2000
     assert root_of_unity(m, m - 1) * root_of_unity(m, 1) == 1
     for k in (1, 7, 999):
         assert root_of_unity(m, k).inverse() == root_of_unity(m, m - k)
+
+
+RETAINED_AT_2000 = """
+import gc, tracemalloc
+from weylclifford.cyclotomic import root_of_unity
+tracemalloc.start()
+assert root_of_unity(2000, 1999) * root_of_unity(2000, 1) == 1
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_large_order_reduction_keeps_no_table():
+    # a table of every zeta^e mod Phi_2000 would hold 2000 * 800 integers
+    # (about 12 MiB); only Phi_m's few nonzero coefficients may stay.  A
+    # fresh interpreter keeps earlier tests' caches out of the count.
+    src = str(Path(weylclifford.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", RETAINED_AT_2000],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert int(out) < 1 << 20
+
+
+@given(
+    st.integers(min_value=1, max_value=130).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.lists(st.integers(-10**6, 10**6), max_size=3 * m),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_reduce_matches_long_division_by_phi(case):
+    # the long division by Phi_m is the reference for the fold-then-divide
+    m, coeffs = case
+    d = totient(m)
+    _, rem = _poly_divmod(coeffs, cyclotomic_polynomial(m).coeffs)
+    rem = (rem + [0] * d)[:d]
+    assert _reduce(m, coeffs) == rem
+
+
+def test_root_of_unity_is_reduced_monomial():
+    for m in (1, 2, 6, 7, 12, 15, 30, 105):
+        for k in range(2 * m + 1):
+            assert root_of_unity(m, k) == CyclotomicNumber(m, [0] * k + [1])
 
 
 def test_simplification_examples():

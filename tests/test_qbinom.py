@@ -242,6 +242,14 @@ def test_deformed_binomial_theorem_other_orders():
     assert deformed_binomial_theorem_check(5, lam_order=5, trials=2, seed=123)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_deformed_binomial_theorem_at_unit_lambda(seed):
+    # lam = 1 runs through the commuting algebra (zeta_power 0), whose
+    # expansion must be the ordinary binomial theorem
+    for l in range(9):
+        assert deformed_binomial_theorem_check(l, lam_order=1, trials=3, seed=seed)
+
+
 def test_commuting_factorization():
     for l in range(1, 11):
         assert commuting_factorization_check(l)
