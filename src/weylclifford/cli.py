@@ -16,7 +16,8 @@ residual passes when it is at most tol * max over trials of
 sum_k |a_k|^l * sqrt(dim).  gen, verify-lame and fourier refuse, as a
 usage error, any matrix dimension above MAX_DIM = 1024: l^ceil(n/2)
 (2^ceil(n/2) for --variant pauli) for gen and verify-lame, l for
-fourier.
+fourier.  qbinom refuses the same way an l or a lambda order (--root,
+else l) above MAX_DIM, and l = 0 without --root.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .cyclotomic import root_of_unity
 
 DEFAULT_TOL = 1e-10
 LAME_TOL = 1e-9
-# largest matrix dimension gen, verify-lame and fourier will build
+# largest matrix dimension gen, verify-lame and fourier will build, and
+# largest l and lambda order qbinom accepts
 MAX_DIM = 1024
 
 
@@ -395,6 +397,13 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             parser.error("need 0 <= k <= l")
         if args.root is not None and args.root < 1:
             parser.error("--root must be positive")
+        if args.root is None and args.lv == 0:
+            parser.error("l = 0 needs --root: lambda's order defaults to l")
+        order = args.lv if args.root is None else args.root
+        if max(args.lv, order) > MAX_DIM:
+            parser.error(
+                f"l = {args.lv} or lambda order {order} exceeds the cap of {MAX_DIM}"
+            )
     elif cmd == "forms":
         if args.n < 2 or args.n % 2:
             parser.error("--n must be even and at least 2")

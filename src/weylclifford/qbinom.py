@@ -17,17 +17,17 @@ relates to them by
 which is checked exactly in the tests (the lam power collapses to 1 in
 the vanishing middle range and whenever lam^{l(l-1)/2} = 1).
 
-Everything is computed once over integer polynomials in a formal lam
-(quotients are exact polynomial divisions, cached per (l, k)).  An
-exact lam in Q(zeta_m) is handled by evaluating that formal polynomial
-at lam, so no field division happens and a vanishing q-factorial needs
-no special case.
+Each quantity has one recurrence, run in the ring lam lives in: Z[lam]
+(IntPolynomial) for a formal lam=None, Q(zeta_m) (CyclotomicNumber) for
+an exact lam.  q-integers and q-factorials are sums and products of
+powers of lam, the r-row is built factor by factor, and [l k]_lam comes
+from the q-Pascal rule.  None of these divides, so a lam that makes
+some [j]_lam vanish needs no special case, and nothing is cached.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 
 from . import algebra
 from .cyclotomic import CyclotomicNumber, IntPolynomial, root_of_unity
@@ -42,29 +42,25 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _r_coeffs_formal(l: int):
-    """Coefficients of prod_{j<l}(x - lam^j) as polynomials in lam."""
-    coeffs = [IntPolynomial([1])]
-    for j in range(l):
-        lam_j = IntPolynomial([0] * j + [1])
-        nxt = [IntPolynomial()] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - lam_j * c
-        coeffs = nxt
-    return tuple(coeffs)
-
-
-def _at(poly: IntPolynomial, lam):
-    """poly unchanged for a formal lam=None, else poly(lam) in lam's field."""
+def _ring(lam):
+    """The variable and the one of lam's ring: Z[lam] for None, else Q(zeta_m)."""
     if lam is None:
-        return poly
+        return IntPolynomial([0, 1]), IntPolynomial([1])
     if not isinstance(lam, CyclotomicNumber):
         raise TypeError("lam must be a CyclotomicNumber (or None for formal)")
-    # the zero polynomial evaluates to the int 0; adding the field's zero
-    # keeps every result in Q(zeta_m) of lam's order
-    return CyclotomicNumber.zero(lam.order) + poly(lam)
+    return lam, CyclotomicNumber.one(lam.order)
+
+
+def _r_row(l: int, lam):
+    """Coefficients of x^0..x^l in prod_{j<l} (x - lam^j), factor by factor."""
+    x, one = _ring(lam)
+    row, power = [one], one
+    for _ in range(l):
+        row = [-power * row[0]] + [
+            row[i - 1] - power * row[i] for i in range(1, len(row))
+        ] + [one]
+        power = power * x
+    return row
 
 
 def r_poly(k: int, l: int, lam=None):
@@ -75,43 +71,55 @@ def r_poly(k: int, l: int, lam=None):
     """
     if l < 0 or not 0 <= k <= l:
         raise ValueError("need 0 <= k <= l")
-    return _at(_r_coeffs_formal(l)[k], lam)
+    return _r_row(l, lam)[k]
 
 
 def q_int(k: int, lam=None):
     """[k]_lam = 1 + lam + ... + lam^{k-1}."""
     if k < 0:
         raise ValueError("q-integers need k >= 0")
-    return _at(IntPolynomial([1] * k), lam)
+    x, one = _ring(lam)
+    out, power = one - one, one
+    for _ in range(k):
+        out, power = out + power, power * x
+    return out
 
 
 def q_factorial(k: int, lam=None):
     """[k]_lam! = prod_{j=1}^{k} [j]_lam."""
     if k < 0:
         raise ValueError("q-factorials need k >= 0")
-    out = IntPolynomial([1])
-    for j in range(1, k + 1):
-        out = out * q_int(j)
-    return _at(out, lam)
-
-
-@lru_cache(maxsize=None)
-def _q_binomial_formal(l: int, k: int) -> IntPolynomial:
-    num = q_factorial(l)
-    den = q_factorial(k) * q_factorial(l - k)
-    return num.exact_div(den)
+    x, one = _ring(lam)
+    out, qj, power = one, one - one, one
+    for _ in range(k):
+        qj, power = qj + power, power * x
+        out = out * qj
+    return out
 
 
 def q_binomial(l: int, k: int, lam=None):
-    """Gaussian binomial [l k]_lam.
+    """Gaussian binomial [l k]_lam, by the q-Pascal rule in lam's ring.
 
-    The formal quotient [l]! / ([k]! [l-k]!) is an exact polynomial
-    division; an exact lam is substituted into it afterwards, which
-    stays valid where lam makes some [j]_lam vanish.
+    [n j] = [n-1 j-1] + lam^j [n-1 j] only adds and multiplies, so it
+    holds as written in Z[lam] and at every exact lam, including those
+    where some [j]_lam vanishes and a quotient of q-factorials is 0/0.
+    With j = min(k, l-k), the entries [i+b b] for i <= l-j, b <= j are
+    filled one i at a time.
     """
     if l < 0 or not 0 <= k <= l:
         raise ValueError("need 0 <= k <= l")
-    return _at(_q_binomial_formal(l, k), lam)
+    x, one = _ring(lam)
+    j = min(k, l - k)
+    if j == 0:
+        return one
+    powers = [one]
+    for _ in range(j):
+        powers.append(powers[-1] * x)
+    col = [one] * (j + 1)
+    for _ in range(l - j):
+        for b in range(1, j + 1):
+            col[b] = col[b - 1] + powers[b] * col[b]
+    return col[j]
 
 
 def _random_nonzero(rng: random.Random, order: int) -> CyclotomicNumber:
@@ -173,31 +181,13 @@ def deformed_binomial_theorem_check(
     return True
 
 
-def commuting_factorization_check(l: int, order: int | None = None) -> bool:
+def commuting_factorization_check(l: int) -> bool:
     """Verify prod_{k=0}^{l-1} (a + zeta^k b) = a^l + (-1)^{l-1} b^l.
 
-    a, b are formal commuting variables; the product is expanded as an
-    exact bivariate polynomial with cyclotomic coefficients, zeta a
-    primitive l-th root of unity.
+    Homogenizing at x = -a/b turns this into prod_{k<l} (x - zeta^k) =
+    x^l - 1, so the check is that the r-row of r_poly at zeta, a
+    primitive l-th root of unity, is exactly [-1, 0, ..., 0, 1].
     """
     if l < 1:
         raise ValueError("need l >= 1")
-    if order is None:
-        order = algebra.default_cyclotomic_order(l)
-    if order % l:
-        raise ValueError("cyclotomic order must be a multiple of l")
-    step = order // l
-    one = CyclotomicNumber.one(order)
-    poly = {(0, 0): one}
-    for k in range(l):
-        z = root_of_unity(order, step * k)
-        nxt: dict = {}
-        for (i, j), c in poly.items():
-            key_a = (i + 1, j)
-            nxt[key_a] = nxt.get(key_a, CyclotomicNumber.zero(order)) + c
-            key_b = (i, j + 1)
-            nxt[key_b] = nxt.get(key_b, CyclotomicNumber.zero(order)) + z * c
-        poly = {e: c for e, c in nxt.items() if not c.is_zero()}
-    sign = 1 if l % 2 else -1
-    expected = {(l, 0): one, (0, l): CyclotomicNumber.rational(order, sign)}
-    return poly == expected
+    return _r_row(l, root_of_unity(l)) == [-1] + [0] * (l - 1) + [1]

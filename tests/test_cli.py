@@ -185,6 +185,8 @@ def test_qbinom_usage(capsys):
     assert usage_error_code(["qbinom", "3", "-1"], capsys) == 2
     assert usage_error_code(["qbinom", "3", "1", "--unit", "--root", "3"], capsys) == 2
     assert usage_error_code(["qbinom", "3", "1", "--root", "0"], capsys) == 2
+    # the default lambda order is l, and there is no root of order 0
+    assert usage_error_code(["qbinom", "0", "0"], capsys) == 2
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -192,6 +194,31 @@ def test_qbinom_unit_is_root_one(fmt, capsys):
     unit = run_cli(["qbinom", "6", "3", "--unit", "--format", fmt], capsys)
     assert unit == run_cli(["qbinom", "6", "3", "--root", "1", "--format", fmt], capsys)
     assert unit[0] == 0
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["qbinom", "5", "2"],
+     '{"approx":[0.0,0.0],"command":"qbinom","k":2,"l":5,"lambda_order":5,'
+     '"value":{"coeffs":["0","0","0","0"],"order":5}}\n'),
+    (["qbinom", "6", "3", "--root", "3"],
+     '{"approx":[2.0,0.0],"command":"qbinom","k":3,"l":6,"lambda_order":3,'
+     '"value":{"coeffs":["2","0"],"order":3}}\n'),
+    (["qbinom", "9", "4", "--root", "18"],
+     '{"approx":[-39.454296846907944,-14.360189666177376],"command":"qbinom",'
+     '"k":4,"l":9,"lambda_order":18,'
+     '"value":{"coeffs":["-10","-14","-16","-6","0","6"],"order":18}}\n'),
+    (["qbinom", "4", "2", "--unit"],
+     '{"approx":[6.0,0.0],"command":"qbinom","k":2,"l":4,"lambda_order":1,'
+     '"value":{"coeffs":["6"],"order":1}}\n'),
+    (["qbinom", "0", "0", "--root", "1"],
+     '{"approx":[1.0,0.0],"command":"qbinom","k":0,"l":0,"lambda_order":1,'
+     '"value":{"coeffs":["1"],"order":1}}\n'),
+], ids=["5-2", "6-3-root3", "9-4-root18", "4-2-unit", "0-0-root1"])
+def test_qbinom_json_bytes_pinned(args, expected, capsys):
+    # the bytes the command printed when [l k]_lam was the exact quotient
+    # of formal q-factorials, evaluated at lam; at order 3, (6, 3) would be
+    # a 0/0 for the quotient taken in the field
+    assert run_cli(args, capsys) == (0, expected, "")
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +318,10 @@ def test_equiv_perturbed_pair_fails(tmp_path, capsys):
     ["gen", "--n", "1", "--l", str(cli.MAX_DIM + 1)],
     ["verify-lame", "--n", "1", "--l", str(cli.MAX_DIM + 1), "--trials", "1"],
     ["fourier", "--l", str(cli.MAX_DIM + 1)],
+    # qbinom caps l and lambda's order, before a root of unity is built
+    ["qbinom", "2", "1", "--root", str(cli.MAX_DIM + 1)],
+    ["qbinom", str(cli.MAX_DIM + 1), "0"],
+    ["qbinom", str(cli.MAX_DIM + 1), "0", "--root", "3"],
 ])
 def test_dimension_above_cap_is_usage_error(args, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -298,6 +329,15 @@ def test_dimension_above_cap_is_usage_error(args, capsys):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert "exceeds the cap" in err and "Traceback" not in err
+
+
+def test_qbinom_size_at_cap_runs(capsys):
+    cap = str(cli.MAX_DIM)
+    rc, out, _ = run_cli(["qbinom", cap, cap, "--root", cap], capsys)
+    obj = json.loads(out)
+    coeffs = obj["value"]["coeffs"]
+    assert rc == 0 and obj["value"]["order"] == cli.MAX_DIM
+    assert coeffs[0] == "1" and set(coeffs[1:]) == {"0"}
 
 
 def test_dimension_cap_boundary(monkeypatch, capsys):

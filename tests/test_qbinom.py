@@ -55,6 +55,26 @@ def root_product_in_field(l, lam):
     return coeffs
 
 
+def bivariate_root_product(l, order):
+    """Independent oracle: expand prod_{k<l} (a + zeta^k b) as a dict.
+
+    Keys are exponent pairs (i, j) of a^i b^j, zeta is a primitive l-th
+    root of unity in Q(zeta_order), and zero coefficients are dropped.
+    """
+    step = order // l
+    poly = {(0, 0): CyclotomicNumber.one(order)}
+    for k in range(l):
+        z = root_of_unity(order, step * k)
+        nxt = {}
+        for (i, j), c in poly.items():
+            key_a = (i + 1, j)
+            nxt[key_a] = nxt.get(key_a, CyclotomicNumber.zero(order)) + c
+            key_b = (i, j + 1)
+            nxt[key_b] = nxt.get(key_b, CyclotomicNumber.zero(order)) + z * c
+        poly = {e: c for e, c in nxt.items() if not c.is_zero()}
+    return poly
+
+
 # ---------------------------------------------------------------------------
 # r polynomials
 # ---------------------------------------------------------------------------
@@ -179,6 +199,25 @@ def test_non_cyclotomic_lam_is_rejected():
         r_poly(1, 2, 1)
 
 
+def test_q_binomial_matches_formal_quotient_evaluated():
+    # the q-Pascal value against the exact quotient of formal q-factorials
+    # evaluated at lam; orders up to 2l + 1 include every 0/0 order
+    for l in range(13):
+        for k in range(l + 1):
+            formal = q_factorial(l).exact_div(q_factorial(k) * q_factorial(l - k))
+            for order in range(1, 2 * l + 2):
+                lam = root_of_unity(order)
+                assert q_binomial(l, k, lam) == formal(lam), (l, k, order)
+
+
+def test_q_binomial_edge_columns_need_no_row():
+    # [l 0] = [l l] = 1 for any l, with no pass over the rows
+    lam = root_of_unity(3)
+    assert q_binomial(10**6, 0, lam) == 1
+    assert q_binomial(10**6, 10**6, lam) == 1
+    assert q_binomial(10**6, 0) == IntPolynomial([1])
+
+
 def test_q_binomial_vanishing_at_primitive_roots():
     for l in range(2, 13):
         z = root_of_unity(l)
@@ -253,3 +292,17 @@ def test_deformed_binomial_theorem_at_unit_lambda(seed):
 def test_commuting_factorization():
     for l in range(1, 11):
         assert commuting_factorization_check(l)
+
+
+def test_commuting_factorization_matches_bivariate_expansion():
+    # prod_k (a + zeta^k b) = sum_i (-1)^{l-i} r_i(l, zeta) a^i b^{l-i}
+    for l in range(1, 13):
+        order = 2 * l
+        poly = bivariate_root_product(l, order)
+        sign = 1 if l % 2 else -1
+        expected = {(l, 0): 1, (0, l): CyclotomicNumber.rational(order, sign)}
+        assert poly == expected and commuting_factorization_check(l)
+        zeta = root_of_unity(order, 2)
+        for i in range(l + 1):
+            coeff = poly.get((i, l - i), CyclotomicNumber.zero(order))
+            assert coeff == r_poly(i, l, zeta) * (-1) ** (l - i), (l, i)
