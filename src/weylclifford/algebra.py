@@ -226,7 +226,6 @@ def _mul_elements(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     strict = sig.mode == "strict"
     zp = sig.zeta_power
     step = sig.cyclotomic_order // l
-    phase_cache: dict = {}
     out: dict = {}
     for a, ca in x.terms.items():
         suffix = [0] * (n + 1)
@@ -240,11 +239,7 @@ def _mul_elements(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
             coeff = ca * cb
             e = (zp * phi) % l
             if e:
-                z = phase_cache.get(e)
-                if z is None:
-                    z = root_of_unity(sig.cyclotomic_order, step * e)
-                    phase_cache[e] = z
-                coeff = coeff * z
+                coeff = coeff.times_root(step * e)
             if strict:
                 exps = tuple((ai + bi) % l for ai, bi in zip(a, b))
             else:

@@ -17,7 +17,10 @@ sum_k |a_k|^l * sqrt(dim).  gen, verify-lame and fourier refuse, as a
 usage error, any matrix dimension above MAX_DIM = 1024: l^ceil(n/2)
 (2^ceil(n/2) for --variant pauli) for gen and verify-lame, l for
 fourier.  qbinom refuses the same way an l or a lambda order (--root,
-else l) above MAX_DIM, and l = 0 without --root.
+else l) above MAX_DIM, and l = 0 without --root; forms an n above
+MAX_DIM (its exact O(n^3) work makes that a memory bound, not a time
+bound); equiv a --l outside 2..MAX_DIM.  A pair file whose l is not a
+whole number in 2..MAX_DIM is unreadable input (exit 1).
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from .cyclotomic import root_of_unity
 
 DEFAULT_TOL = 1e-10
 LAME_TOL = 1e-9
-# largest matrix dimension gen, verify-lame and fourier will build, and
-# largest l and lambda order qbinom accepts
+# largest matrix dimension gen, verify-lame, fourier and equiv will
+# build, largest forms n, and largest l and lambda order qbinom accepts
 MAX_DIM = 1024
 
 
@@ -258,6 +261,15 @@ def cmd_fourier(args) -> int:
     return 0 if ok else 1
 
 
+def _pair_order(raw) -> int:
+    """A pair file's l: a whole number in 2..MAX_DIM, else ValueError."""
+    if isinstance(raw, float) and raw.is_integer():
+        raw = int(raw)
+    if type(raw) is not int or not 2 <= raw <= MAX_DIM:
+        raise ValueError(f"l must be a whole number in 2..{MAX_DIM}, got {raw!r}")
+    return raw
+
+
 def cmd_equiv(args) -> int:
     tol = _tolerance(args, 1e-7)
     try:
@@ -265,7 +277,7 @@ def cmd_equiv(args) -> int:
             data = json.load(fh)
         u = matrep.matrix_from_json(data["U"])
         v = matrep.matrix_from_json(data["V"])
-        l = int(args.l if args.l is not None else data["l"])
+        l = args.l if args.l is not None else _pair_order(data["l"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         sys.stderr.write(f"cannot read pair file: {exc}\n")
         return 1
@@ -407,7 +419,12 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
     elif cmd == "forms":
         if args.n < 2 or args.n % 2:
             parser.error("--n must be even and at least 2")
+        _check_dim(parser, args.n, 1)
     elif cmd == "fourier":
+        if args.l < 2:
+            parser.error("--l must be at least 2")
+        _check_dim(parser, args.l, 1)
+    elif cmd == "equiv" and args.l is not None:
         if args.l < 2:
             parser.error("--l must be at least 2")
         _check_dim(parser, args.l, 1)

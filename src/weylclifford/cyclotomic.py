@@ -9,7 +9,11 @@ comparison and every nonzero element has an inverse.
 Every result is brought to that basis by one reduction, ``_reduce``:
 exponents are folded by zeta^m = 1, then the degrees >= d are cleared
 by synthetic division by the monic Phi_m, touching only its nonzero
-coefficients.  Nothing beyond Phi_m itself is kept per order.
+coefficients.  Nothing beyond Phi_m itself is kept per order.  Every
+monomial map -- multiplying by zeta^k (``times_root``, and so
+``root_of_unity``), conjugation zeta -> zeta^{-1} and lifting
+zeta_m -> zeta_{km}^k -- is one scatter of the coordinates to their new
+exponents followed by one ``_reduce``; none of them multiplies.
 
 Coefficients are exact rationals, stored as an integer numerator
 vector over a single positive denominator with gcd(numerators,
@@ -144,19 +148,43 @@ class IntPolynomial:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> IntPolynomial:
-    """m-th cyclotomic polynomial, by exact division of x^m - 1.
+    """m-th cyclotomic polynomial, by integer steps alone.
 
-    x^m - 1 = prod_{d | m} Phi_d, so Phi_m is the quotient of x^m - 1
-    by the product of Phi_d over proper divisors d.
+    Phi_1 = x - 1.  For m > 1, Moebius inversion of x^m - 1 =
+    prod_{d | m} Phi_d gives Phi_m = prod_{d | m} (1 - x^d)^{mu(m/d)}
+    (the signs cancel, since mu sums to 0 over the divisors of m).  As
+    power series truncated at degree phi(m), multiplying by 1 - x^d is
+    a shifted subtraction and dividing by it a running sum with stride
+    d; only the divisors with m/d squarefree take part.
     """
     if m < 1:
         raise ValueError("cyclotomic order must be a positive integer")
-    num = IntPolynomial([-1] + [0] * (m - 1) + [1])
-    den = IntPolynomial([1])
-    for d in range(1, m):
-        if m % d == 0:
-            den = den * cyclotomic_polynomial(d)
-    return num.exact_div(den)
+    if m == 1:
+        return IntPolynomial([-1, 1])
+    primes, rest, p = [], m, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    deg = m
+    for p in primes:
+        deg = deg // p * (p - 1)
+    factors = [(m, 1)]  # (d, mu(m/d))
+    for p in primes:
+        factors += [(d // p, -mu) for d, mu in factors]
+    out = [1] + [0] * deg
+    for d, mu in factors:
+        if mu > 0:
+            for i in range(deg, d - 1, -1):
+                out[i] -= out[i - d]
+        else:
+            for i in range(d, deg + 1):
+                out[i] += out[i - d]
+    return IntPolynomial(out)
 
 
 def totient(m: int) -> int:
@@ -367,15 +395,22 @@ class CyclotomicNumber:
             k >>= 1
         return out
 
+    def _map_exponents(self, order: int, scale: int, shift: int = 0):
+        """sum_e c_e zeta_order^{scale*e + shift}: one scatter, one reduction."""
+        coeffs = [0] * order
+        for e, c in enumerate(self._num):
+            if c:
+                coeffs[(scale * e + shift) % order] += c
+        num, den = _normalize(_reduce(order, coeffs), self._den)
+        return CyclotomicNumber._raw(order, num, den)
+
+    def times_root(self, k: int) -> "CyclotomicNumber":
+        """self * zeta_m^k, by shifting every exponent by k."""
+        return self._map_exponents(self.order, 1, k)
+
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugate (the automorphism zeta -> zeta^{-1})."""
-        m = self.order
-        coeffs = [0] * m
-        for e, c in enumerate(self._num):
-            coeffs[-e % m] = c
-        vec = _reduce(m, coeffs)
-        num, den = _normalize(vec, self._den)
-        return CyclotomicNumber._raw(m, num, den)
+        return self._map_exponents(self.order, -1)
 
     def lift(self, new_order: int) -> "CyclotomicNumber":
         """Embed into Q(zeta_{new_order}) via zeta_m = zeta_{new_order}^{new_order/m}."""
@@ -383,13 +418,7 @@ class CyclotomicNumber:
             raise OrderMismatchError(
                 f"cannot lift order {self.order} into order {new_order}"
             )
-        k = new_order // self.order
-        coeffs = [0] * new_order
-        for e, c in enumerate(self._num):
-            coeffs[e * k] = c
-        vec = _reduce(new_order, coeffs)
-        num, den = _normalize(vec, self._den)
-        return CyclotomicNumber._raw(new_order, num, den)
+        return self._map_exponents(new_order, new_order // self.order)
 
     def to_complex(self) -> complex:
         """Numerical value at zeta_m = exp(2*pi*i/m)."""
@@ -446,10 +475,7 @@ class CyclotomicNumber:
 
 def root_of_unity(order: int, k: int = 1) -> CyclotomicNumber:
     """zeta_order^k as an exact cyclotomic number."""
-    if order < 1:
-        raise ValueError("cyclotomic order must be a positive integer")
-    coords = _reduce(order, [0] * (k % order) + [1])
-    return CyclotomicNumber._raw(order, tuple(coords), 1)
+    return CyclotomicNumber.one(order).times_root(k)
 
 
 def _trim(p):

@@ -170,8 +170,7 @@ def deformed_binomial_theorem_check(
         rhs = algebra.zero(sig)
         for k in range(l + 1):
             coeff = (
-                root_of_unity(order, -step * k * (l - k))
-                * q_binomial(l, k, lam)
+                q_binomial(l, k, lam).times_root(-step * k * (l - k))
                 * a**k
                 * b ** (l - k)
             )

@@ -120,18 +120,30 @@ def test_verify_lame_seeded_determinism(capsys):
     assert out1 == out2
 
 
-def test_verify_lame_json_bytes_pinned(capsys):
+TRIAL_OK = '{"residual_terms":0,"symbolic_pass":true}'
+
+
+@pytest.mark.parametrize("args, expected", [
     # both tracks use one draw of coefficients per trial; the bytes are
     # those the command printed when each track drew its own copy
-    args = ["verify-lame", "--n", "2", "--l", "3", "--trials", "3", "--seed", "9"]
-    rc, out, _ = run_cli(args, capsys)
-    assert rc == 0
-    trial = '{"residual_terms":0,"symbolic_pass":true}'
-    assert out == (
+    (
+        ["verify-lame", "--n", "2", "--l", "3", "--trials", "3", "--seed", "9"],
         '{"command":"verify-lame","l":3,"matrix_max_residual":3.370400129833633e-14,'
-        '"mode":"strict","n":2,"passed":true,"per_trial":[' + ",".join([trial] * 3) + '],'
-        '"seed":9,"symbolic_pass":true,"tolerance":1e-09,"trials":3}\n'
-    )
+        '"mode":"strict","n":2,"passed":true,"per_trial":[' + ",".join([TRIAL_OK] * 3)
+        + '],"seed":9,"symbolic_pass":true,"tolerance":1e-09,"trials":3}\n',
+    ),
+    # weak mode; the bytes are those printed when each reordering phase
+    # was a full product by root_of_unity
+    (
+        ["verify-lame", "--n", "3", "--l", "4", "--mode", "weak", "--trials", "2",
+         "--seed", "5"],
+        '{"command":"verify-lame","l":4,"matrix_max_residual":9.64478016250963e-12,'
+        '"mode":"weak","n":3,"passed":true,"per_trial":[' + ",".join([TRIAL_OK] * 2)
+        + '],"seed":5,"symbolic_pass":true,"tolerance":1e-09,"trials":2}\n',
+    ),
+], ids=["strict", "weak"])
+def test_verify_lame_json_bytes_pinned(args, expected, capsys):
+    assert run_cli(args, capsys) == (0, expected, "")
 
 
 def test_verify_lame_tolerance_is_relative(capsys):
@@ -297,6 +309,28 @@ def test_equiv_missing_and_malformed_files(tmp_path, capsys):
     partial = tmp_path / "partial.json"
     partial.write_text(json.dumps({"l": 4}))
     assert run_cli(["equiv", str(partial)], capsys)[0] == 1
+    # a file l that is not a whole number in 2..MAX_DIM is unreadable
+    # input, refused before any root of unity is built
+    pf = tmp_path / "pair.json"
+    make_pair_file(pf, l=3)
+    blob = json.loads(pf.read_text())
+    for l in (1, -5, 10**7, 3.7, cli.MAX_DIM + 1, "3", True):
+        odd = tmp_path / "odd.json"
+        odd.write_text(json.dumps(dict(blob, l=l)))
+        rc, _, err = run_cli(["equiv", str(odd)], capsys)
+        assert rc == 1 and "cannot read pair file" in err, l
+        assert "Traceback" not in err
+    # a whole float is a whole number
+    odd.write_text(json.dumps(dict(blob, l=3.0)))
+    rc, out, _ = run_cli(["equiv", str(odd)], capsys)
+    assert rc == 0 and json.loads(out)["l"] == 3
+
+
+def test_equiv_usage(tmp_path, capsys):
+    pf = tmp_path / "pair.json"
+    make_pair_file(pf)
+    assert usage_error_code(["equiv", str(pf), "--l", "1"], capsys) == 2
+    assert usage_error_code(["equiv", str(pf), "--l", "-5"], capsys) == 2
 
 
 def test_equiv_perturbed_pair_fails(tmp_path, capsys):
@@ -322,6 +356,9 @@ def test_equiv_perturbed_pair_fails(tmp_path, capsys):
     ["qbinom", "2", "1", "--root", str(cli.MAX_DIM + 1)],
     ["qbinom", str(cli.MAX_DIM + 1), "0"],
     ["qbinom", str(cli.MAX_DIM + 1), "0", "--root", "3"],
+    # forms is capped like fourier, and equiv's --l before the file is read
+    ["forms", "--n", str(cli.MAX_DIM + 2)],
+    ["equiv", "pair.json", "--l", str(cli.MAX_DIM + 1)],
 ])
 def test_dimension_above_cap_is_usage_error(args, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -350,6 +387,10 @@ def test_dimension_cap_boundary(monkeypatch, capsys):
     assert usage_error_code(["verify-lame", "--n", "5", "--l", "3"], capsys) == 2
     assert usage_error_code(["gen", "--n", "7", "--variant", "pauli"], capsys) == 2
     assert usage_error_code(["fourier", "--l", "10"], capsys) == 2
+    rc, out, _ = run_cli(["forms", "--n", "8"], capsys)
+    assert rc == 0 and json.loads(out)["n"] == 8
+    assert usage_error_code(["forms", "--n", "10"], capsys) == 2
+    assert usage_error_code(["equiv", "pair.json", "--l", "10"], capsys) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import weylclifford
 from weylclifford.cyclotomic import (
@@ -54,6 +54,40 @@ def test_divisor_product_recovers_x_m_minus_1():
         assert prod == IntPolynomial([-1] + [0] * (m - 1) + [1])
 
 
+LARGE_PHI = """
+from weylclifford.cyclotomic import cyclotomic_polynomial, root_of_unity
+for m in (2310, 30030):
+    assert root_of_unity(m).coeffs[1] == 1
+    at_two = 1
+    for d in range(1, m + 1):
+        if m % d == 0:
+            value = 0
+            for c in reversed(cyclotomic_polynomial(d).coeffs):
+                value = 2 * value + c
+            at_two *= value
+    print(m, cyclotomic_polynomial(m).degree, at_two == 2**m - 1)
+"""
+
+
+def test_large_squarefree_orders_build_quickly():
+    # 2310 = 2*3*5*7*11 and 30030 = 2310*13 have many divisors; a fresh
+    # interpreter with a timeout makes a slow build fail instead of hang
+    src = str(Path(weylclifford.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", LARGE_PHI],
+        capture_output=True, text=True, env=env, check=True, timeout=30,
+    ).stdout.split()
+    for m, primes, line in zip(
+        (2310, 30030), ((2, 3, 5, 7, 11), (2, 3, 5, 7, 11, 13)), zip(*[iter(out)] * 3)
+    ):
+        deg = Fraction(m)
+        for p in primes:
+            deg *= 1 - Fraction(1, p)
+        # deg Phi_m = phi(m), and prod_{d | m} Phi_d(2) = 2^m - 1
+        assert line == (str(m), str(deg), "True")
+
+
 def test_phi_degree_is_totient():
     known = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 2, 8: 4, 9: 6, 10: 4, 12: 4, 30: 8}
     for m, t in known.items():
@@ -69,6 +103,12 @@ def test_root_examples():
     assert root_of_unity(2, 1) == -1
     assert root_of_unity(4, 1).coeffs == (Fraction(0), Fraction(1))
     assert root_of_unity(3, 3) == 1
+
+
+def test_root_of_unity_rejects_nonpositive_order():
+    for order in (0, -3):
+        with pytest.raises(ValueError, match="positive integer"):
+            root_of_unity(order)
 
 
 def test_root_power_and_product_laws():
@@ -191,6 +231,56 @@ def test_root_of_unity_is_reduced_monomial():
             assert root_of_unity(m, k) == CyclotomicNumber(m, [0] * k + [1])
 
 
+def _element(m, pairs):
+    return CyclotomicNumber(m, [Fraction(a, b) for a, b in pairs])
+
+
+@given(
+    st.integers(min_value=1, max_value=130).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.integers(-3 * m, 3 * m),
+            st.lists(
+                st.tuples(st.integers(-10, 10), st.integers(1, 7)), max_size=3 * m
+            ),
+        )
+    )
+)
+@example((12, 5, []))
+@example((7, -20, [(1, 3), (0, 1), (-2, 5), (4, 9)]))
+@settings(max_examples=150, deadline=None)
+def test_times_root_matches_full_product(case):
+    # the full product by the root is the reference for the exponent
+    # shift; the root is also built by the constructor, whose reduction
+    # shares no code with times_root
+    m, k, pairs = case
+    x = _element(m, pairs)
+    root = CyclotomicNumber(m, [0] * (k % m) + [1])
+    assert x.times_root(k) == x * root_of_unity(m, k) == x * root
+
+
+def _monomial_sum(order, terms):
+    """sum of c * zeta_order^e over (e, c), with ordinary + and *."""
+    total = CyclotomicNumber.zero(order)
+    for e, c in terms:
+        total = total + c * root_of_unity(order, e)
+    return total
+
+
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=4),
+    st.lists(st.tuples(st.integers(-10, 10), st.integers(1, 7)), max_size=40),
+)
+@example(9, 2, [(0, 1), (1, 2), (3, 5)])
+@settings(max_examples=80, deadline=None)
+def test_conjugate_and_lift_match_monomial_sums(m, j, pairs):
+    x = _element(m, pairs)
+    coords = list(enumerate(x.coeffs))
+    assert x.conjugate() == _monomial_sum(m, [(-e, c) for e, c in coords])
+    assert x.lift(j * m) == _monomial_sum(j * m, [(j * e, c) for e, c in coords])
+
+
 def test_simplification_examples():
     # 1 + zeta + zeta^2 = 0 in Q(zeta_3)
     assert root_of_unity(3) + root_of_unity(3, 2) == -1
@@ -202,6 +292,8 @@ def test_mixed_order_requires_explicit_lift():
     b = root_of_unity(4)
     with pytest.raises(OrderMismatchError):
         a + b
+    with pytest.raises(OrderMismatchError):
+        b.lift(6)
     lifted = a.lift(12)
     assert lifted.order == 12
     assert lifted == root_of_unity(12, 4)
