@@ -6,74 +6,29 @@ Clifford algebra.  The package provides exact cyclotomic arithmetic,
 normal-form symbolic algebra with the power-sum (Lame) identity,
 deformed binomial coefficients, tensor-product matrix representations,
 commutator-form transport over the rationals, and a CLI.
+
+Submodules, and the public names listed in their __all__, load on
+first use.  The exact modules (cyclotomic, algebra, qbinom, sampling)
+run without numpy; it loads with matrep, commforms, algebra.to_matrix
+and the CLI's numerical subcommands.
 """
 
-from .cyclotomic import (
-    CyclotomicNumber,
-    IntPolynomial,
-    OrderMismatchError,
-    cyclotomic_polynomial,
-    root_of_unity,
-    totient,
-)
-from .algebra import (
-    AlgebraElement,
-    AlgebraSignature,
-    SignatureMismatchError,
-    default_cyclotomic_order,
-    generator,
-    identity,
-    is_central,
-    lame_check,
-    linear_combination,
-    monomial,
-    to_matrix,
-    weak_from_group_phases,
-    zero,
-)
-from .qbinom import (
-    commuting_factorization_check,
-    deformed_binomial_theorem_check,
-    q_binomial,
-    q_factorial,
-    q_int,
-    r_poly,
-)
-from .matrep import (
-    GeneratorSet,
-    RelationReport,
-    ReducibleRepresentationError,
-    WeylRelationError,
-    clifford_generators,
-    conjugate_generators,
-    conjugated_triple,
-    degenerate_pair,
-    extract_tau_site,
-    fourier,
-    lame_residual,
-    pauli,
-    reducible_pair,
-    reducible_pair_permutation,
-    span_dimension,
-    standardize_weyl_pair,
-    t_generators,
-    tau_triple,
-    verify_relations,
-    weyl_pair,
-)
-from .commforms import (
-    canonical_form,
-    clifford_form,
-    conjugate_to_N,
-    diagonal_symplectic,
-    is_antisymmetric,
-    is_symplectic,
-    matrix_L,
-    matrix_Lprime,
-    random_symplectic,
-    symplectic_shear,
-    symplectic_transvection,
-    transform_form,
-)
+import importlib
+
+# numpy-free modules first, so an exact-track name never loads numpy
+_EXPORTING = ("cyclotomic", "algebra", "qbinom", "sampling", "matrep", "commforms")
+
+
+def __getattr__(name: str):
+    """Load a submodule, or a public name from the first __all__ listing it."""
+    if not name.startswith("_"):
+        if name in _EXPORTING or name == "cli":
+            return importlib.import_module(f"{__name__}.{name}")
+        for sub in _EXPORTING:
+            module = importlib.import_module(f"{__name__}.{sub}")
+            if name in module.__all__:
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

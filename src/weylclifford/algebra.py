@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from .cyclotomic import CyclotomicNumber, OrderMismatchError, root_of_unity
 
 __all__ = [
@@ -324,12 +322,15 @@ def is_central(x: AlgebraElement) -> bool:
     return True
 
 
-def to_matrix(x: AlgebraElement, matrices) -> np.ndarray:
+def to_matrix(x: AlgebraElement, matrices):
     """Evaluate a strict-mode element in a matrix representation.
 
     matrices[k] is the image of t_{k+1}; monomials map to ordered
     products of matrix powers and coefficients to their complex values.
+    Returns a complex numpy array.
     """
+    import numpy as np
+
     sig = x.signature
     if sig.mode != "strict":
         raise ValueError("matrix evaluation requires strict mode")
@@ -356,27 +357,22 @@ def to_matrix(x: AlgebraElement, matrices) -> np.ndarray:
     return out
 
 
-def group_phase_table(steps):
+def group_phase_table(m: int):
     """Pairwise commutation exponents of the string construction.
 
-    From m commuting shift/clock pairs with step parameters a_k (and
-    partner steps lam/a_k), build
+    From m commuting shift/clock pairs u_k, v_k with u_k v_k =
+    e^{i lam} v_k u_k and distinct sites commuting, build
 
         t_{2k-1} = u_k * prod_{j<k} (u_j^{-1} v_j),
-        t_{2k}   = v_k * prod_{j<k} (u_j^{-1} v_j),
+        t_{2k}   = v_k * prod_{j<k} (u_j^{-1} v_j).
 
-    where u_j v_j = e^{i lam} v_j u_j and distinct sites commute.
     Entry [j][k] is the exponent r with t_j t_k = e^{i lam r} t_k t_j,
     tracked exactly in units of lam; the construction makes every
-    upper-triangular entry equal 1 regardless of the step sizes.
+    upper-triangular entry equal 1.  Per-site step parameters a_k with
+    partner steps lam/a_k would cancel out of every phase, so none are
+    taken.
     """
-    steps = [Fraction(a) for a in steps]
-    if any(a == 0 for a in steps):
-        raise ValueError("step parameters must be nonzero")
-    m = len(steps)
 
-    # each site's commutation exponent a_k * b_k / lam, with b_k = lam / a_k,
-    # is 1, so the steps cancel out of every phase
     def mul(x, y):
         phase = x[0] + y[0]
         sites = []
@@ -388,10 +384,10 @@ def group_phase_table(steps):
     ts = []
     for k in range(m):
         pre = [(-1, 1)] * k
-        ts.append((Fraction(0), tuple(pre + [(1, 0)] + [(0, 0)] * (m - k - 1))))
-        ts.append((Fraction(0), tuple(pre + [(0, 1)] + [(0, 0)] * (m - k - 1))))
+        ts.append((0, tuple(pre + [(1, 0)] + [(0, 0)] * (m - k - 1))))
+        ts.append((0, tuple(pre + [(0, 1)] + [(0, 0)] * (m - k - 1))))
     n = 2 * m
-    table = [[Fraction(0)] * n for _ in range(n)]
+    table = [[0] * n for _ in range(n)]
     for j in range(n):
         for k in range(j + 1, n):
             r = mul(ts[j], ts[k])[0] - mul(ts[k], ts[j])[0]
@@ -400,25 +396,21 @@ def group_phase_table(steps):
     return table
 
 
-def weak_from_group_phases(n: int, l: int, steps, lam_power: int = 1):
+def weak_from_group_phases(n: int, l: int, lam_power: int = 1):
     """Weak-mode generators built from commuting group phases.
 
     The phase angle is lam = 2*pi*lam_power/l, so e^{i lam} is a root
     of unity of order l / gcd(lam_power, l); the returned generators
     live in the weak algebra of that order with the matching structure
-    phase.  The step parameters a_k only validate the construction --
-    the phase table is independent of them.
+    phase, checked against `group_phase_table(n // 2)`.
     """
     if n < 2 or n % 2:
         raise ValueError("n must be a positive even count of generators")
-    steps = list(steps)
-    if len(steps) != n // 2:
-        raise ValueError("need one step parameter per generator pair")
     g = gcd(lam_power % l, l)
     order = l // g
     if order < 2:
         raise ValueError("phase 2*pi*lam_power/l is trivial; no relation left")
-    table = group_phase_table(steps)
+    table = group_phase_table(n // 2)
     for j in range(n):
         for k in range(j + 1, n):
             if table[j][k] != 1:

@@ -20,7 +20,11 @@ fourier.  qbinom refuses the same way an l or a lambda order (--root,
 else l) above MAX_DIM, and l = 0 without --root; forms an n above
 MAX_DIM (its exact O(n^3) work makes that a memory bound, not a time
 bound); equiv a --l outside 2..MAX_DIM.  A pair file whose l is not a
-whole number in 2..MAX_DIM is unreadable input (exit 1).
+whole number in 2..MAX_DIM is unreadable input (exit 1); a pair that
+cannot be standardized, non-finite or mismatched matrices included,
+fails with exit 1.  An --out path that cannot be written (a missing directory,
+a directory) is a usage error (exit 2), found when the output is
+written.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ import os
 import random
 import sys
 
-import numpy as np
-
-from . import algebra, commforms, matrep, qbinom, sampling
+# numerical subcommands import matrep, commforms and numpy themselves,
+# so qbinom and usage errors exit before numpy loads
+from . import algebra, qbinom, sampling
 from .cyclotomic import root_of_unity
 
 DEFAULT_TOL = 1e-10
@@ -65,8 +69,12 @@ def _emit(payload: dict, args, text_renderer) -> None:
     else:
         out = text_renderer(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            sys.stderr.write(f"cannot write --out: {exc}\n")
+            sys.exit(2)
     else:
         sys.stdout.write(out)
 
@@ -88,15 +96,14 @@ def _matrix_text(obj: dict) -> str:
     return "\n".join(lines)
 
 
-def _build_set(n: int, l: int, variant: str) -> matrep.GeneratorSet:
-    if variant == "pauli":
-        return matrep.clifford_generators(n // 2, include_odd=bool(n % 2))
-    return matrep.t_generators(n, l, variant)
-
-
 def cmd_gen(args) -> int:
+    from . import matrep
+
     tol = _tolerance(args, DEFAULT_TOL)
-    gens = _build_set(args.n, args.l, args.variant)
+    if args.variant == "pauli":
+        gens = matrep.clifford_generators(args.n // 2, include_odd=bool(args.n % 2))
+    else:
+        gens = matrep.t_generators(args.n, args.l, args.variant)
     report = matrep.verify_relations(gens, tol=tol)
     payload = {
         "command": "gen",
@@ -130,6 +137,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify_lame(args) -> int:
+    from . import matrep
+
     tol = _tolerance(args, LAME_TOL)
     sig = algebra.AlgebraSignature(args.n, args.l, mode=args.mode)
     gens = matrep.t_generators(args.n, args.l, "tau")
@@ -201,12 +210,14 @@ def cmd_qbinom(args) -> int:
 
 
 def cmd_forms(args) -> int:
+    from . import commforms
+
     hc = commforms.canonical_form(args.n)
     hpm = commforms.clifford_form(args.n)
     lmat = commforms.matrix_L(args.n)
     lp = commforms.matrix_Lprime(args.n)
-    ok_l = bool(np.all(commforms.transform_form(lmat, hc) == hpm))
-    ok_lp = bool(np.all(commforms.transform_form(lp, hc) == hpm))
+    ok_l = bool((commforms.transform_form(lmat, hc) == hpm).all())
+    ok_lp = bool((commforms.transform_form(lp, hc) == hpm).all())
     payload = {
         "command": "forms",
         "n": args.n,
@@ -233,6 +244,10 @@ def cmd_forms(args) -> int:
 
 
 def cmd_fourier(args) -> int:
+    import numpy as np
+
+    from . import matrep
+
     tol = _tolerance(args, 1e-11)
     f = matrep.fourier(args.l)
     u, v = matrep.weyl_pair(args.l)
@@ -271,6 +286,10 @@ def _pair_order(raw) -> int:
 
 
 def cmd_equiv(args) -> int:
+    import numpy as np
+
+    from . import matrep
+
     tol = _tolerance(args, 1e-7)
     try:
         with open(args.pairfile, "r", encoding="utf-8") as fh:
@@ -283,7 +302,7 @@ def cmd_equiv(args) -> int:
         return 1
     try:
         m, mu = matrep.standardize_weyl_pair(u, v, l, tol=max(tol, 1e-8))
-    except (matrep.WeylRelationError, matrep.ReducibleRepresentationError) as exc:
+    except ValueError as exc:  # base of both standardization errors
         sys.stderr.write(f"standardization failed: {exc}\n")
         return 1
     u0, v0 = matrep.weyl_pair(l)

@@ -191,14 +191,12 @@ def symplectic_transvection(v, c=1) -> np.ndarray:
     if n % 2 or n < 2:
         raise ValueError("transvection needs even dimension")
     h = canonical_form(n)
+    vh = [sum((vec[k] * h[k, j] for k in range(n)), Fraction(0)) for j in range(n)]
     t = identity_matrix(n)
     cf = Fraction(c)
     for i in range(n):
         for j in range(n):
-            acc = Fraction(0)
-            for k in range(n):
-                acc += vec[k] * h[k, j]
-            t[i, j] -= cf * vec[i] * acc
+            t[i, j] -= cf * vec[i] * vh[j]
     return t
 
 

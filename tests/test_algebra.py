@@ -280,9 +280,9 @@ def test_to_matrix_rejects_weak_and_mismatched():
 # ---------------------------------------------------------------------------
 
 def test_group_phase_table_is_uniform():
-    for steps in ([1], [1, 1], [3, Fraction(2, 7), 5], [Fraction(-1, 2), 4]):
-        table = group_phase_table(steps)
-        n = 2 * len(steps)
+    for m in (1, 2, 3):
+        table = group_phase_table(m)
+        n = 2 * m
         for j in range(n):
             for k in range(n):
                 expected = 0 if j == k else (1 if j < k else -1)
@@ -290,8 +290,8 @@ def test_group_phase_table_is_uniform():
 
 
 def test_weak_from_group_phases_relations():
-    for n, l, steps in ((2, 5, [1]), (4, 5, [1, 1]), (4, 6, [2, Fraction(3, 4)])):
-        gens = weak_from_group_phases(n, l, steps)
+    for n, l in ((2, 5), (4, 5), (4, 6)):
+        gens = weak_from_group_phases(n, l)
         sig = gens[0].signature
         assert sig.mode == "weak" and sig.l == l
         z = sig.zeta
@@ -300,15 +300,9 @@ def test_weak_from_group_phases_relations():
                 assert gens[j] * gens[k] == z * (gens[k] * gens[j])
 
 
-def test_weak_from_group_phases_step_independence():
-    a = weak_from_group_phases(4, 5, [1, 1])
-    b = weak_from_group_phases(4, 5, [7, Fraction(1, 3)])
-    assert [g.terms for g in a] == [g.terms for g in b]
-
-
 def test_weak_from_group_phases_lame():
     rng = random.Random(4)
-    gens = weak_from_group_phases(4, 3, [1, 2])
+    gens = weak_from_group_phases(4, 3)
     sig = gens[0].signature
     coeffs = sample_coefficients(rng, sig.cyclotomic_order, 4)
     ok, _ = lame_check(sig, coeffs)
@@ -316,22 +310,18 @@ def test_weak_from_group_phases_lame():
 
 
 def test_weak_from_group_phases_nonprimitive_reduces_order():
-    gens = weak_from_group_phases(2, 6, [1], lam_power=2)
+    gens = weak_from_group_phases(2, 6, lam_power=2)
     sig = gens[0].signature
     assert sig.l == 3 and sig.zeta_power == 1
-    gens = weak_from_group_phases(2, 6, [1], lam_power=4)
+    gens = weak_from_group_phases(2, 6, lam_power=4)
     assert gens[0].signature.l == 3
 
 
 def test_weak_from_group_phases_validation():
     with pytest.raises(ValueError):
-        weak_from_group_phases(3, 5, [1])
+        weak_from_group_phases(3, 5)
     with pytest.raises(ValueError):
-        weak_from_group_phases(2, 5, [0])
-    with pytest.raises(ValueError):
-        weak_from_group_phases(2, 5, [1, 1])
-    with pytest.raises(ValueError):
-        weak_from_group_phases(2, 5, [1], lam_power=5)
+        weak_from_group_phases(2, 5, lam_power=5)
 
 
 # ---------------------------------------------------------------------------

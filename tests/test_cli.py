@@ -3,6 +3,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,16 @@ def test_gen_deterministic_bytes(tmp_path, capsys):
     assert out1 == out2 == ""
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes().endswith(b"\n")
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_out_is_usage_error(target, tmp_path, capsys):
+    # a missing directory, and a path that is a directory
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen", "--n", "3", "--l", "3", "--out", str(tmp_path / target)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("cannot write --out") and err.count("\n") == 1
 
 
 def test_gen_text_format(capsys):
@@ -324,6 +335,19 @@ def test_equiv_missing_and_malformed_files(tmp_path, capsys):
     odd.write_text(json.dumps(dict(blob, l=3.0)))
     rc, out, _ = run_cli(["equiv", str(odd)], capsys)
     assert rc == 0 and json.loads(out)["l"] == 3
+    # pairs that cannot be standardized: U and V of different sizes, a
+    # singular U, non-finite entries
+    u2 = matrix_to_json(weyl_pair(2)[0])
+    zero_u = dict(blob["U"], entries=[[0.0, 0.0]] * 9)
+    nan_u = dict(blob["U"], entries=[[float("nan"), 0.0]] + blob["U"]["entries"][1:])
+    inf_v = dict(blob["V"], entries=[[float("inf"), 0.0]] + blob["V"]["entries"][1:])
+    for fields in ({"U": u2}, {"U": zero_u}, {"U": nan_u}, {"V": inf_v}):
+        odd.write_text(json.dumps(dict(blob, **fields)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second line
+            rc, _, err = run_cli(["equiv", str(odd)], capsys)
+        assert rc == 1 and "standardization failed" in err, fields
+        assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_equiv_usage(tmp_path, capsys):

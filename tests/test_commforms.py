@@ -156,6 +156,12 @@ def test_shears_and_transvections():
     t1 = symplectic_transvection(v, c=1)
     tm1 = symplectic_transvection(v, c=-1)
     assert exact_equal(t1 @ tm1, identity_matrix(4))
+    # T = 1 - c v (v^T h_c), entry for entry
+    for v, c in (([1, 0, 2, -1], Fraction(1, 3)), ([3, -2], 2),
+                 ([Fraction(1, 2), 0, -1, 5, Fraction(-7, 3), 1], -1)):
+        v = np.array([Fraction(x) for x in v], dtype=object)
+        ref = identity_matrix(len(v)) - c * np.outer(v, v @ canonical_form(len(v)))
+        assert exact_equal(symplectic_transvection(v, c=c), ref)
 
 
 def test_random_symplectic():

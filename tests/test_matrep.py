@@ -399,6 +399,12 @@ def test_standardize_error_modes():
     up[0, 0] += 1e-3
     with pytest.raises(WeylRelationError):
         standardize_weyl_pair(up, v, 3)
+    # a non-finite entry makes the deviation NaN, which must fail too
+    for bad in (np.nan, np.inf):
+        up = u.copy()
+        up[0, 0] = bad
+        with pytest.raises(WeylRelationError):
+            standardize_weyl_pair(up, v, 3)
     um, vm = reducible_pair(4, 2)
     with pytest.raises(ReducibleRepresentationError):
         standardize_weyl_pair(um, vm, 2)
