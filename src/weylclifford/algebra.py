@@ -20,6 +20,23 @@ zeta^{l-1} on the normally ordered monomial.
 
 In weak mode exponents are not reduced, so t_k^l survives as a central
 monomial; exponents are restricted to non-negative integers.
+
+Power sums.  ``lame_check`` expands (sum_k a_k t_k)^l without the
+normal-form product.  The coefficient of t^e is c_e * prod_k a_k^{e_k},
+where c_e -- the q-multinomial prod_k [e_1+...+e_k; e_k]_q at
+q = zeta^{-zeta_power} -- does not depend on the a_k.  The table {e: c_e}
+grows one factor at a time by
+
+    c'_{e+u_k} += zeta^{-zeta_power * sum_{i>k} e_i} * c_e,
+
+with c_e kept in Z[C_l] as l integers over 1, zeta, ..., zeta^{l-1}:
+every phase is an l-th root, so a step is a rotation and integer adds,
+with no denominator and no reduction.  Exponents stay weak throughout;
+strict mode folds them mod l only at the end, which is exact because
+the phase depends on the e_i only mod l.  Each c_e is then scattered
+into Q(zeta_m) and reduced once, and only the nonzero ones meet the
+a_k.  The last step holds C(l+n-1, n-1) compositions, each pushed to n
+successors by one rotation of length l.
 """
 
 from __future__ import annotations
@@ -27,8 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add
 
-from .cyclotomic import CyclotomicNumber, OrderMismatchError, root_of_unity
+from .cyclotomic import CyclotomicNumber, OrderMismatchError, _reduce, root_of_unity
 
 __all__ = [
     "AlgebraSignature",
@@ -287,6 +305,30 @@ def linear_combination(sig: AlgebraSignature, coeffs) -> AlgebraElement:
     return AlgebraElement(sig, terms)
 
 
+def _power_table(n: int, l: int, zeta_power: int, p: int) -> dict:
+    """{e: c_e} with (sum_k a_k t_k)^p = sum_e c_e a^e t^e, weak exponents.
+
+    Each c_e is a list c of l integers, standing for sum_j c[j] zeta^j
+    in Z[C_l].  Right-multiplying t^e by t_k costs zeta^{-zeta_power * s}
+    with s = sum_{i>k} e_i, a rotation of c.
+    """
+    table = {(0,) * n: [1] + [0] * (l - 1)}
+    for _ in range(p):
+        nxt: dict = {}
+        for e, c in table.items():
+            w, s = c, 0
+            for k in range(n - 1, -1, -1):
+                f = e[:k] + (e[k] + 1,) + e[k + 1:]
+                acc = nxt.get(f)
+                nxt[f] = w if acc is None else list(map(add, acc, w))
+                if k and e[k]:  # s moves, and with it the rotation
+                    s += e[k]
+                    r = -zeta_power * s % l
+                    w = c[-r:] + c[:-r]
+        table = nxt
+    return table
+
+
 def lame_check(sig: AlgebraSignature, coeffs):
     """Check (sum_k a_k t_k)^l against its power-sum form.
 
@@ -295,9 +337,35 @@ def lame_check(sig: AlgebraSignature, coeffs):
     (passed, residual); the residual is exact, not a numeric estimate.
     """
     coeffs = [sig.coerce(c) for c in coeffs]
-    x = linear_combination(sig, coeffs)
-    lhs = x ** sig.l
-    if sig.mode == "strict":
+    if len(coeffs) != sig.n:
+        raise ValueError("need exactly n coefficients")
+    l, m = sig.l, sig.cyclotomic_order
+    step = m // l
+    strict = sig.mode == "strict"
+    powers: dict = {}
+    terms: dict = {}
+    for e, v in _power_table(sig.n, l, sig.zeta_power, l).items():
+        scattered = [0] * m
+        scattered[::step] = v
+        num = _reduce(m, scattered)
+        if not any(num):
+            continue
+        c = CyclotomicNumber._raw(m, tuple(num), 1)
+        for k, x in enumerate(e):
+            if x:
+                if (k, x) not in powers:
+                    powers[k, x] = coeffs[k] ** x
+                c = c * powers[k, x]
+        if strict:
+            e = tuple(x % l for x in e)
+        acc = terms.get(e)
+        acc = c if acc is None else acc + c
+        if acc.is_zero():
+            terms.pop(e, None)
+        else:
+            terms[e] = acc
+    lhs = AlgebraElement._raw(sig, terms)
+    if strict:
         total = CyclotomicNumber.zero(sig.cyclotomic_order)
         for c in coeffs:
             total = total + c ** sig.l

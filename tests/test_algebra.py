@@ -1,10 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import comb, gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import weylclifford
 from weylclifford.algebra import (
+    _power_table,
     AlgebraElement,
     AlgebraSignature,
     SignatureMismatchError,
@@ -22,7 +30,13 @@ from weylclifford.algebra import (
     weak_from_group_phases,
     zero,
 )
-from weylclifford.cyclotomic import CyclotomicNumber, root_of_unity
+from weylclifford.cyclotomic import (
+    CyclotomicNumber,
+    OrderMismatchError,
+    root_of_unity,
+    totient,
+)
+from weylclifford.qbinom import q_binomial
 from weylclifford.matrep import t_generators, weyl_pair
 from weylclifford.sampling import sample_coefficients
 
@@ -226,6 +240,128 @@ def test_lame_fails_for_non_coprime_zeta_power():
             found = True
             break
     assert found
+
+
+def test_lame_check_input_guards():
+    sig = sig_for(3, 5)
+    for coeffs in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="exactly n"):
+            lame_check(sig, coeffs)
+    with pytest.raises(OrderMismatchError):
+        lame_check(sig, [1, root_of_unity(7), 2])
+
+
+def _power_sum_reference(sig, coeffs):
+    """(sum_k a_k t_k)^l - rhs through the normal-form product."""
+    coeffs = [sig.coerce(c) for c in coeffs]
+    lhs = linear_combination(sig, coeffs) ** sig.l
+    if sig.mode == "strict":
+        total = CyclotomicNumber.zero(sig.cyclotomic_order)
+        for c in coeffs:
+            total = total + c ** sig.l
+        return lhs - identity(sig) * total
+    pure = {
+        tuple(sig.l if i == k else 0 for i in range(sig.n)): c ** sig.l
+        for k, c in enumerate(coeffs)
+    }
+    return lhs - AlgebraElement(sig, pure)
+
+
+@st.composite
+def power_sum_cases(draw):
+    n = draw(st.integers(1, 5))
+    l = draw(st.integers(2, 9))
+    sig = sig_for(
+        n, l, draw(st.sampled_from(["strict", "weak"])), draw(st.integers(0, l - 1))
+    )
+    order = sig.cyclotomic_order
+    rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    coeff = st.one_of(
+        st.just(0),
+        rational,
+        st.lists(rational, min_size=totient(order), max_size=totient(order)).map(
+            lambda xs: CyclotomicNumber(order, xs)
+        ),
+    )
+    return sig, draw(st.lists(coeff, min_size=n, max_size=n))
+
+
+@given(power_sum_cases())
+@settings(max_examples=100, deadline=None)
+@example((sig_for(3, 6, zeta_power=2), [1, root_of_unity(12), Fraction(1, 2)]))
+@example((sig_for(4, 6, "weak", 3), [2, root_of_unity(12, 5), 0, -1]))
+@example((sig_for(3, 4, zeta_power=0), [1, 1, root_of_unity(8, 3)]))
+def test_lame_check_matches_normal_form_power(case):
+    sig, coeffs = case
+    passed, residual = lame_check(sig, coeffs)
+    reference = _power_sum_reference(sig, coeffs)
+    assert residual == reference
+    assert passed == reference.is_zero()
+
+
+def _table_value(sig, v):
+    """sum_j v[j] zeta^j in the signature's coefficient field."""
+    step = sig.cyclotomic_order // sig.l
+    scattered = [0] * sig.cyclotomic_order
+    scattered[::step] = v
+    return CyclotomicNumber(sig.cyclotomic_order, scattered)
+
+
+@pytest.mark.parametrize("n,l", [(1, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 3)])
+def test_power_table_is_q_multinomial(n, l):
+    for zeta_power in range(l):
+        sig = sig_for(n, l, "weak", zeta_power)
+        q = sig.zeta_root(-1)
+        for p in range(l + 2):
+            table = _power_table(n, l, zeta_power, p)
+            assert len(table) == comb(p + n - 1, n - 1)
+            for e, v in table.items():
+                assert sum(e) == p
+                expected = CyclotomicNumber.one(sig.cyclotomic_order)
+                for k in range(n):
+                    expected = expected * q_binomial(sum(e[: k + 1]), e[k], q)
+                assert _table_value(sig, v) == expected, (zeta_power, e)
+
+
+@pytest.mark.parametrize("n,l", [(2, 5), (3, 4), (3, 6), (4, 5), (2, 9)])
+def test_power_table_keeps_only_pure_powers(n, l):
+    # at p = l and a primitive phase every mixed q-multinomial vanishes:
+    # the reason (sum_k a_k t_k)^l = sum_k a_k^l t_k^l
+    for zeta_power in range(1, l):
+        if gcd(zeta_power, l) != 1:
+            continue
+        sig = sig_for(n, l, "weak", zeta_power)
+        values = {
+            e: _table_value(sig, v)
+            for e, v in _power_table(n, l, zeta_power, l).items()
+        }
+        pure = {tuple(l if i == k else 0 for i in range(n)) for k in range(n)}
+        assert {e for e, c in values.items() if not c.is_zero()} == pure
+        assert all(values[e] == 1 for e in pure)
+
+
+LARGE_LAME = """
+import random
+from weylclifford.algebra import AlgebraSignature, lame_check
+from weylclifford.sampling import sample_coefficients
+sig = AlgebraSignature(4, 31)
+coeffs = sample_coefficients(random.Random(31), sig.cyclotomic_order, 4)
+ok, residual = lame_check(sig, coeffs)
+print(ok, len(residual.terms))
+"""
+
+
+def test_lame_check_large_order_runs_quickly():
+    # the normal-form power takes ~46 s of CPU here (~10 s at l = 23) on
+    # a 2-vCPU VM; a fresh interpreter with a timeout makes a slow path
+    # fail instead of hang
+    src = str(Path(weylclifford.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", LARGE_LAME],
+        capture_output=True, text=True, env=env, check=True, timeout=15,
+    ).stdout.split()
+    assert out == ["True", "0"]
 
 
 # ---------------------------------------------------------------------------
