@@ -35,8 +35,11 @@ with no denominator and no reduction.  Exponents stay weak throughout;
 strict mode folds them mod l only at the end, which is exact because
 the phase depends on the e_i only mod l.  Each c_e is then scattered
 into Q(zeta_m) and reduced once, and only the nonzero ones meet the
-a_k.  The last step holds C(l+n-1, n-1) compositions, each pushed to n
-successors by one rotation of length l.
+a_k.  They accumulate onto a residual seeded with -a_k^l at the pure
+powers (t_k^l in weak mode, the identity in strict mode), so the
+right-hand side is never built apart.  The last step holds
+C(l+n-1, n-1) compositions, each pushed to n successors by one
+rotation of length l.
 """
 
 from __future__ import annotations
@@ -177,12 +180,7 @@ class AlgebraElement:
         self._check_sig(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            acc = out.get(e)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = acc
+            _add_term(out, e, c)
         return AlgebraElement._raw(self.signature, out)
 
     def __neg__(self):
@@ -260,13 +258,18 @@ def _mul_elements(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
                 exps = tuple((ai + bi) % l for ai, bi in zip(a, b))
             else:
                 exps = tuple(ai + bi for ai, bi in zip(a, b))
-            acc = out.get(exps)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero():
-                out.pop(exps, None)
-            else:
-                out[exps] = acc
+            _add_term(out, exps, coeff)
     return AlgebraElement._raw(sig, out)
+
+
+def _add_term(terms: dict, e, c) -> None:
+    """terms[e] += c, dropping the entry when the sum is zero."""
+    acc = terms.get(e)
+    acc = c if acc is None else acc + c
+    if acc.is_zero():
+        terms.pop(e, None)
+    else:
+        terms[e] = acc
 
 
 def zero(sig: AlgebraSignature) -> AlgebraElement:
@@ -339,12 +342,15 @@ def lame_check(sig: AlgebraSignature, coeffs):
     coeffs = [sig.coerce(c) for c in coeffs]
     if len(coeffs) != sig.n:
         raise ValueError("need exactly n coefficients")
-    l, m = sig.l, sig.cyclotomic_order
+    n, l, m = sig.n, sig.l, sig.cyclotomic_order
     step = m // l
     strict = sig.mode == "strict"
-    powers: dict = {}
+    powers = {(k, l): c ** l for k, c in enumerate(coeffs)}
     terms: dict = {}
-    for e, v in _power_table(sig.n, l, sig.zeta_power, l).items():
+    for k in range(n):
+        e = (0,) * n if strict else tuple(l if i == k else 0 for i in range(n))
+        _add_term(terms, e, -powers[k, l])
+    for e, v in _power_table(n, l, sig.zeta_power, l).items():
         scattered = [0] * m
         scattered[::step] = v
         num = _reduce(m, scattered)
@@ -358,26 +364,8 @@ def lame_check(sig: AlgebraSignature, coeffs):
                 c = c * powers[k, x]
         if strict:
             e = tuple(x % l for x in e)
-        acc = terms.get(e)
-        acc = c if acc is None else acc + c
-        if acc.is_zero():
-            terms.pop(e, None)
-        else:
-            terms[e] = acc
-    lhs = AlgebraElement._raw(sig, terms)
-    if strict:
-        total = CyclotomicNumber.zero(sig.cyclotomic_order)
-        for c in coeffs:
-            total = total + c ** sig.l
-        rhs = identity(sig) * total
-    else:
-        terms = {}
-        for k, c in enumerate(coeffs):
-            exps = tuple(sig.l if i == k else 0 for i in range(sig.n))
-            terms[exps] = c ** sig.l
-        rhs = AlgebraElement(sig, terms)
-    residual = lhs - rhs
-    return residual.is_zero(), residual
+        _add_term(terms, e, c)
+    return not terms, AlgebraElement._raw(sig, terms)
 
 
 def is_central(x: AlgebraElement) -> bool:

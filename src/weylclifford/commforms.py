@@ -200,8 +200,8 @@ def symplectic_transvection(v, c=1) -> np.ndarray:
     return t
 
 
-def random_symplectic(n: int, rng: random.Random, factors: int = 6) -> np.ndarray:
-    """Product of diagonal, shear and transvection generators.
+def random_symplectic(n: int, rng: random.Random) -> np.ndarray:
+    """Product of six diagonal, shear and transvection generators.
 
     Cross-pair transvections are included so the sample is not confined
     to block-diagonal products.
@@ -209,7 +209,7 @@ def random_symplectic(n: int, rng: random.Random, factors: int = 6) -> np.ndarra
     if n < 2 or n % 2:
         raise ValueError("need even n >= 2")
     s = identity_matrix(n)
-    for _ in range(factors):
+    for _ in range(6):
         kind = rng.randrange(3)
         if kind == 0:
             params = [
@@ -257,7 +257,7 @@ def exact_inverse(a: np.ndarray) -> np.ndarray:
     return inv
 
 
-def conjugate_to_N(s: np.ndarray, lmat: np.ndarray | None = None) -> np.ndarray:
+def conjugate_to_N(s: np.ndarray) -> np.ndarray:
     """N_S = L S L^-1: transports an h_c-preserver to an h+--preserver.
 
     Multiplicative in S; raises on non-symplectic input.
@@ -265,8 +265,7 @@ def conjugate_to_N(s: np.ndarray, lmat: np.ndarray | None = None) -> np.ndarray:
     s = np.asarray(s, dtype=object)
     if not is_symplectic(s):
         raise ValueError("input must be symplectic")
-    if lmat is None:
-        lmat = matrix_L(s.shape[0])
+    lmat = matrix_L(s.shape[0])
     return lmat @ s @ exact_inverse(lmat)
 
 

@@ -15,6 +15,14 @@ monomial map -- multiplying by zeta^k (``times_root``, and so
 zeta_m -> zeta_{km}^k -- is one scatter of the coordinates to their new
 exponents followed by one ``_reduce``; none of them multiplies.
 
+The same exponent map with scale j coprime to m is the Galois
+automorphism sigma_j: zeta -> zeta^j, and the sigma_j make up the
+Galois group (Z/m)^x.  ``inverse`` uses them: the product of all
+sigma_j(a) is the rational norm N(a), so 1/a is the product of the
+sigma_j(a) with j != 1, divided by N(a).  Pairing j with -j, that
+product is conj(a) times the sigma_j(a * conj(a)), one j from each
+pair {j, -j} other than {1, -1}.
+
 Coefficients are exact rationals, stored as an integer numerator
 vector over a single positive denominator with gcd(numerators,
 denominator) = 1.  There is no floating-point fallback anywhere in
@@ -352,21 +360,23 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Field inverse via the extended Euclidean algorithm mod Phi_m."""
+        """Field inverse x / N, x the product of the other Galois conjugates.
+
+        b = self * conj(self) is real, so the rational norm N = self * x
+        is b times the sigma_j(b), one j from each pair {j, -j} of units
+        other than {1, -1}; a rational b needs no sigma_j.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        a = [Fraction(n, self._den) for n in self._num]
-        # invariants: s0*self == r0, s1*self == r1  (mod Phi_m)
-        r0, r1 = cyclotomic_polynomial(self.order).coeffs, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, _trim(r)
-            s0, s1 = s1, _trim(_poly_sub(s0, _poly_mul(q, s1)))
-        if not r1 or r1[0] == 0:
-            raise ZeroDivisionError("element not invertible")  # unreachable: Phi_m irreducible
-        inv = [c / r1[0] for c in s1]
-        return CyclotomicNumber(self.order, inv)
+        m = self.order
+        x = self.conjugate()
+        b = self * x
+        if not b.is_rational():
+            for j in range(2, (m + 1) // 2):
+                if gcd(j, m) == 1:
+                    x = b._map_exponents(m, j) * x
+        n = self * x
+        return x * Fraction(n._den, n._num[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -476,20 +486,6 @@ class CyclotomicNumber:
 def root_of_unity(order: int, k: int = 1) -> CyclotomicNumber:
     """zeta_order^k as an exact cyclotomic number."""
     return CyclotomicNumber.one(order).times_root(k)
-
-
-def _trim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_sub(a, b):
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return out
 
 
 def _poly_mul(a, b):

@@ -411,9 +411,7 @@ def conjugate_generators(gens: GeneratorSet, m: np.ndarray) -> GeneratorSet:
     return GeneratorSet(mats, gens.l, gens.zeta, "custom")
 
 
-def verify_relations(
-    gens: GeneratorSet, tol: float = DEFAULT_TOL, check_powers: bool = True
-) -> RelationReport:
+def verify_relations(gens: GeneratorSet, tol: float = DEFAULT_TOL) -> RelationReport:
     """Check t_j t_k = zeta t_k t_j (j < k) and t_k^l = 1 numerically."""
     mats = gens.matrices
     zeta = gens.zeta
@@ -430,12 +428,11 @@ def verify_relations(
                 pair_failures.append((j + 1, k + 1, dev))
     max_power = 0.0
     power_failures = []
-    if check_powers:
-        for k, t in enumerate(mats):
-            dev = float(np.linalg.norm(np.linalg.matrix_power(t, gens.l) - eye))
-            max_power = max(max_power, dev)
-            if dev > tol:
-                power_failures.append(k + 1)
+    for k, t in enumerate(mats):
+        dev = float(np.linalg.norm(np.linalg.matrix_power(t, gens.l) - eye))
+        max_power = max(max_power, dev)
+        if dev > tol:
+            power_failures.append(k + 1)
     passed = not pair_failures and not power_failures
     return RelationReport(
         passed=passed,

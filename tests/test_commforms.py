@@ -216,7 +216,8 @@ def test_conjugate_to_N_other_transport():
     hpm = clifford_form(n)
     rng = random.Random(41)
     s = random_symplectic(n, rng)
-    g = conjugate_to_N(s, lmat=matrix_Lprime(n))
+    lp = matrix_Lprime(n)
+    g = lp @ s @ exact_inverse(lp)
     assert exact_equal(transform_form(g, hpm), hpm)
 
 

@@ -156,13 +156,38 @@ def test_field_axioms(order, seed):
     assert x * y == y * x
 
 
-@given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**32))
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=40, deadline=None)
 def test_inverse_round_trip(order, seed):
     x = _sample(order, seed)
-    if x.is_zero():
+    y = _sample(order, seed + 1)
+    if x.is_zero() or y.is_zero():
         return
     assert x * x.inverse() == CyclotomicNumber.one(order)
+    assert x / y * y == x
+    assert x ** -3 == (x ** 3).inverse()
+
+
+DENSE_INVERSES = """
+import random
+from weylclifford.sampling import sample_cyclotomic
+for m in (128, 210, 256):
+    x = sample_cyclotomic(random.Random(m), m)
+    assert x * x.inverse() == 1
+    print(m)
+"""
+
+
+def test_dense_inverses_at_large_orders_run_quickly():
+    # dense elements of degree 64, 48 and 128; a fresh interpreter with
+    # a timeout makes a slow inverse fail instead of hang
+    src = str(Path(weylclifford.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", DENSE_INVERSES],
+        capture_output=True, text=True, env=env, check=True, timeout=30,
+    ).stdout.split()
+    assert out == ["128", "210", "256"]
 
 
 def test_invert_zero_raises():

@@ -472,12 +472,15 @@ def test_verify_relations_report():
     assert obj["passed"] is False and obj["pair_failures"][0][:2] == [1, 2]
 
 
-def test_verify_relations_skip_powers():
+def test_verify_relations_separates_power_failures():
+    # the pair relation holds, only t_k^l = 1 fails
     lam = 1.5
     s, vl = degenerate_pair(3, 0.0, lam)
     g = GeneratorSet((s, vl), 3, lam, "custom")
-    assert not verify_relations(g).passed
-    assert verify_relations(g, check_powers=False).passed
+    report = verify_relations(g)
+    assert not report.passed
+    assert report.pair_failures == ()
+    assert report.power_failures
 
 
 def test_matrix_json_round_trip():
