@@ -460,10 +460,11 @@ def lame_residual(gens: GeneratorSet, coeffs) -> float:
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
+    """{"dim": d, "entries": [[re, im], ...]} in row-major order."""
+    m = np.ascontiguousarray(m, dtype=complex)
     return {
         "dim": int(m.shape[0]),
-        "entries": [[float(z.real), float(z.imag)] for z in m.ravel()],
+        "entries": m.view(np.float64).reshape(-1, 2).tolist(),
     }
 
 

@@ -17,20 +17,34 @@ relates to them by
 which is checked exactly in the tests (the lam power collapses to 1 in
 the vanishing middle range and whenever lam^{l(l-1)/2} = 1).
 
-Each quantity has one recurrence, run in the ring lam lives in: Z[lam]
-(IntPolynomial) for a formal lam=None, Q(zeta_m) (CyclotomicNumber) for
-an exact lam.  q-integers and q-factorials are sums and products of
-powers of lam, the r-row is built factor by factor, and [l k]_lam comes
-from the q-Pascal rule.  None of these divides, so a lam that makes
-some [j]_lam vanish needs no special case, and nothing is cached.
+q-integers and q-factorials are sums and products of powers of lam,
+run in lam's ring: Z[lam] (IntPolynomial) for a formal lam=None,
+Q(zeta_m) (CyclotomicNumber) for an exact lam.  The r-row (built factor
+by factor) and [l k]_lam (the q-Pascal rule) run on lists c of
+integers, standing for sum_i c[i] lam^i in Z[x]/(x^size - 1), where
+multiplying by lam^b is a rotation of the list by b; lam enters once,
+at the end.  At lam = zeta_m^s of order M, size = M and each list goes
+to Q(zeta_m) by one scatter to the exponents s*i mod m and one
+reduction; there q-Lucas first cuts [l k] to
+
+    [l k]_lam = C(l // M, k // M) [l mod M, k mod M]_lam,
+
+0 when k mod M > l mod M, so lam = 1 gives C(l, k) at once.  For
+lam=None the size is one above the formal degree, so the list is the
+polynomial in lam, and any other lam (-zeta_m^s at odd m, 1 + zeta, a
+rational) evaluates that polynomial once, by Horner.  None of these
+divides, so a lam that makes some [j]_lam vanish needs no special
+case, and nothing is cached.
 """
 
 from __future__ import annotations
 
 import random
+from math import comb, gcd
+from operator import add, sub
 
 from . import algebra
-from .cyclotomic import CyclotomicNumber, IntPolynomial, root_of_unity
+from .cyclotomic import CyclotomicNumber, IntPolynomial, _reduce, root_of_unity
 
 __all__ = [
     "r_poly",
@@ -51,16 +65,67 @@ def _ring(lam):
     return lam, CyclotomicNumber.one(lam.order)
 
 
+def _root_exponent(lam):
+    """s with lam = zeta_m^s (m = lam.order), else None; exact, no floats.
+
+    zeta^s is the basis vector of exponent s - r for the multiple r of
+    d = phi(m) with r <= s < r + d, so at most ceil(m/d) shifts by
+    zeta^-r look for a single coordinate +-1.  -zeta^t is zeta^(t + m/2)
+    at even m and a power of no zeta_m at odd m.  None for lam = None.
+    """
+    _ring(lam)  # the TypeError for a lam that is not cyclotomic
+    if lam is None or lam._den != 1:
+        return None
+    m = lam.order
+    for r in range(0, m, len(lam._num)):
+        num = lam.times_root(-r)._num
+        hits = [t for t, c in enumerate(num) if c]
+        if len(hits) == 1:  # lam = c zeta^(r + t)
+            t = hits[0]
+            if num[t] == 1:
+                return r + t
+            if num[t] == -1 and m % 2 == 0:
+                return (r + t + m // 2) % m
+            return None
+    return None
+
+
+def _value(coeffs, lam, s):
+    """sum_i coeffs[i] lam^i in lam's ring.
+
+    An IntPolynomial for lam=None; at lam = zeta_m^s one scatter to the
+    exponents s*i mod m and one reduction; at any other lam, Horner.
+    """
+    if lam is None:
+        return IntPolynomial(coeffs)
+    if s is None:
+        return IntPolynomial(coeffs)(lam)
+    m = lam.order
+    scattered = [0] * m
+    for i, c in enumerate(coeffs):
+        scattered[s * i % m] += c
+    return CyclotomicNumber._raw(m, tuple(_reduce(m, scattered)), 1)
+
+
 def _r_row(l: int, lam):
-    """Coefficients of x^0..x^l in prod_{j<l} (x - lam^j), factor by factor."""
-    x, one = _ring(lam)
-    row, power = [one], one
-    for _ in range(l):
-        row = [-power * row[0]] + [
-            row[i - 1] - power * row[i] for i in range(1, len(row))
-        ] + [one]
-        power = power * x
-    return row
+    """Coefficients of x^0..x^l in prod_{j<l} (x - lam^j), factor by factor.
+
+    Each coefficient is an integer list of length lam's order at a root
+    of unity, else 1 + l(l-1)/2, one above its degree in lam.
+    """
+    s = _root_exponent(lam)
+    size = l * (l - 1) // 2 + 1 if s is None else lam.order // gcd(s, lam.order)
+    unit = [1] + [0] * (size - 1)
+    row = [unit]
+    for p in range(l):
+        r = p % size
+        turned = [c[-r:] + c[:-r] for c in row]  # lam^p * row[i]
+        row = (
+            [[-x for x in turned[0]]]
+            + [list(map(sub, a, b)) for a, b in zip(row, turned[1:])]
+            + [unit]
+        )
+    return [_value(c, lam, s) for c in row]
 
 
 def r_poly(k: int, l: int, lam=None):
@@ -98,28 +163,36 @@ def q_factorial(k: int, lam=None):
 
 
 def q_binomial(l: int, k: int, lam=None):
-    """Gaussian binomial [l k]_lam, by the q-Pascal rule in lam's ring.
+    """Gaussian binomial [l k]_lam, by the q-Pascal rule on integer lists.
 
-    [n j] = [n-1 j-1] + lam^j [n-1 j] only adds and multiplies, so it
-    holds as written in Z[lam] and at every exact lam, including those
-    where some [j]_lam vanishes and a quotient of q-factorials is 0/0.
-    With j = min(k, l-k), the entries [i+b b] for i <= l-j, b <= j are
-    filled one i at a time.
+    [n b] = [n-1 b-1] + lam^b [n-1 b] only adds and multiplies by powers
+    of lam, so it holds as written in Z[x]/(x^size - 1), including at a
+    lam where some [j]_lam vanishes and a quotient of q-factorials is
+    0/0.  At lam = zeta_m^s of order M, q-Lucas leaves l, k < M and
+    size = M; otherwise size = j(l-j) + 1, one above the degree of the
+    formal [l j], with j = min(k, l-k).  The entries [i+b b] for
+    i <= l-j, b <= j are filled one i at a time.
     """
     if l < 0 or not 0 <= k <= l:
         raise ValueError("need 0 <= k <= l")
-    x, one = _ring(lam)
+    s = _root_exponent(lam)
+    scale = 1
+    if s is not None:
+        order = lam.order // gcd(s, lam.order)
+        scale = comb(l // order, k // order)
+        l, k = l % order, k % order
+        if k > l:
+            return _value([], lam, s)
     j = min(k, l - k)
     if j == 0:
-        return one
-    powers = [one]
-    for _ in range(j):
-        powers.append(powers[-1] * x)
-    col = [one] * (j + 1)
+        return _value([scale], lam, s)
+    size = j * (l - j) + 1 if s is None else order
+    col = [[scale] + [0] * (size - 1)] * (j + 1)
     for _ in range(l - j):
         for b in range(1, j + 1):
-            col[b] = col[b - 1] + powers[b] * col[b]
-    return col[j]
+            c = col[b]
+            col[b] = list(map(add, col[b - 1], c[-b:] + c[:-b]))
+    return _value(col[j], lam, s)
 
 
 def _random_nonzero(rng: random.Random, order: int) -> CyclotomicNumber:
@@ -150,6 +223,8 @@ def deformed_binomial_theorem_check(
         raise ValueError("power must be non-negative")
     if lam_order is None:
         lam_order = max(l, 1)
+    elif lam_order < 1:
+        raise ValueError("lam_order must be at least 1")
     rng = random.Random(seed)
     if lam_order > 1:
         sig = algebra.AlgebraSignature(2, lam_order, mode="weak")
@@ -161,18 +236,23 @@ def deformed_binomial_theorem_check(
     # lam and its powers come from lam_order, not from the signature's
     # phase, so the algebra's product is checked, not just restated
     lam = root_of_unity(order, step)
+    one = CyclotomicNumber.one(order)
     big_l = algebra.generator(sig, 1)
     big_r = algebra.generator(sig, 2)
     for _ in range(trials):
         a = _random_nonzero(rng, order)
         b = _random_nonzero(rng, order)
         lhs = (big_l * a + big_r * b) ** l
+        a_pow, b_pow = [one], [one]
+        for _ in range(l):
+            a_pow.append(a_pow[-1] * a)
+            b_pow.append(b_pow[-1] * b)
         rhs = algebra.zero(sig)
         for k in range(l + 1):
             coeff = (
                 q_binomial(l, k, lam).times_root(-step * k * (l - k))
-                * a**k
-                * b ** (l - k)
+                * a_pow[k]
+                * b_pow[l - k]
             )
             rhs = rhs + algebra.monomial(sig, (k, l - k), coeff)
         if lhs != rhs:

@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import numpy as np
@@ -489,3 +490,24 @@ def test_matrix_json_round_trip():
     assert np.allclose(matrix_from_json(matrix_to_json(m)), m)
     with pytest.raises(ValueError):
         matrix_from_json({"dim": 2, "entries": [[1.0, 0.0]]})
+
+
+def test_matrix_json_entries_match_per_entry_floats():
+    # the array view gives the bytes of the per-entry float loop, signed
+    # zeros, non-finite values and non-contiguous input included
+    def by_entry(m):
+        m = np.asarray(m, dtype=complex)
+        return {
+            "dim": int(m.shape[0]),
+            "entries": [[float(z.real), float(z.imag)] for z in m.ravel()],
+        }
+
+    odd = np.array(
+        [[-0.0 + 0.0j, complex(0.0, -0.0), complex(np.nan, 1.0)],
+         [complex(np.inf, -np.inf), 5e-324 - 5e-324j, 1 / 3 + 2j],
+         [1, -2, 3.5]],
+        dtype=complex,
+    )
+    u, _ = weyl_pair(4)
+    for m in (t_generators(6, 7).matrices[2], fourier(6), odd, odd.T, u.real.astype(int)):
+        assert json.dumps(matrix_to_json(m)) == json.dumps(by_entry(m))

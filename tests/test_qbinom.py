@@ -1,11 +1,18 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weylclifford
 from weylclifford.cyclotomic import CyclotomicNumber, IntPolynomial, root_of_unity
 from weylclifford.qbinom import (
+    _root_exponent,
     commuting_factorization_check,
     deformed_binomial_theorem_check,
     q_binomial,
@@ -73,6 +80,60 @@ def bivariate_root_product(l, order):
             nxt[key_b] = nxt.get(key_b, CyclotomicNumber.zero(order)) + z * c
         poly = {e: c for e, c in nxt.items() if not c.is_zero()}
     return poly
+
+
+def q_pascal_in_field(l, k, lam):
+    """Independent oracle: [l k]_lam by the q-Pascal rule in Q(zeta_m).
+
+    [n b] = [n-1 b-1] + lam^b [n-1 b] with CyclotomicNumber products, the
+    field recurrence the integer-list q_binomial replaced.
+    """
+    one = CyclotomicNumber.one(lam.order)
+    j = min(k, l - k)
+    powers = [one]
+    for _ in range(j):
+        powers.append(powers[-1] * lam)
+    col = [one] * (j + 1)
+    for _ in range(l - j):
+        for b in range(1, j + 1):
+            col[b] = col[b - 1] + powers[b] * col[b]
+    return col[j]
+
+
+@st.composite
+def root_and_entry(draw):
+    """(lam, l, k): lam = zeta_m^s, or -zeta_m^s = zeta_m^(s + m/2) at even m.
+
+    With M the order of lam, l = q M + r <= 3M + 2 and k = a M + c <= l,
+    so the q-Lucas factor C(q, a) takes every value and the factor
+    [r c] is 0 whenever c > r.
+    """
+    m = draw(st.integers(min_value=1, max_value=40))
+    s = draw(st.integers(min_value=0, max_value=m - 1))
+    sign = draw(st.sampled_from([1, -1])) if m % 2 == 0 else 1
+    lam = root_of_unity(m, s) * sign
+    order = m // math.gcd(s if sign == 1 else s + m // 2, m)
+    q = draw(st.integers(min_value=0, max_value=3))
+    r = draw(st.integers(min_value=0, max_value=order - 1 if q < 3 else min(2, order - 1)))
+    a = draw(st.integers(min_value=0, max_value=q))
+    c = draw(st.integers(min_value=0, max_value=r if a == q else order - 1))
+    return lam, q * order + r, a * order + c
+
+
+@st.composite
+def other_lam_and_entry(draw):
+    """(lam, l, k), l <= 10, for lam a power of no zeta_m: -zeta_m^s at
+    odd m, 1 + zeta, 2, 1/2 or 0 (lam takes the formal path)."""
+    kind = draw(st.sampled_from(["-root", "1+zeta", "2", "1/2", "0"]))
+    m = draw(st.integers(min_value=1, max_value=40))
+    if kind == "-root":
+        m -= 1 - m % 2
+        lam = -root_of_unity(m, draw(st.integers(min_value=0, max_value=m - 1)))
+    else:
+        value = {"1+zeta": root_of_unity(m) + 1, "2": 2, "1/2": Fraction(1, 2), "0": 0}
+        lam = CyclotomicNumber.rational(m, 0) + value[kind]
+    l = draw(st.integers(min_value=0, max_value=10))
+    return lam, l, draw(st.integers(min_value=0, max_value=l))
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +342,12 @@ def test_deformed_binomial_theorem_other_orders():
     assert deformed_binomial_theorem_check(5, lam_order=5, trials=2, seed=123)
 
 
+def test_theorem_check_rejects_invalid_lambda_order():
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            deformed_binomial_theorem_check(3, bad)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_deformed_binomial_theorem_at_unit_lambda(seed):
     # lam = 1 runs through the commuting algebra (zeta_power 0), whose
@@ -306,3 +373,58 @@ def test_commuting_factorization_matches_bivariate_expansion():
         for i in range(l + 1):
             coeff = poly.get((i, l - i), CyclotomicNumber.zero(order))
             assert coeff == r_poly(i, l, zeta) * (-1) ** (l - i), (l, i)
+
+
+# ---------------------------------------------------------------------------
+# the integer-list recurrences against the field ones
+# ---------------------------------------------------------------------------
+
+@given(st.one_of(root_and_entry(), other_lam_and_entry()))
+@settings(max_examples=100, deadline=None)
+def test_integer_lists_match_field_recurrences(entry):
+    lam, l, k = entry
+    assert q_binomial(l, k, lam) == q_pascal_in_field(l, k, lam), (lam, l, k)
+    assert r_poly(k, l, lam) == root_product_in_field(l, lam)[k], (lam, l, k)
+
+
+def test_root_exponent_recovers_every_root():
+    for m in range(1, 61):
+        z = root_of_unity(m)
+        for s in range(m):
+            lam = root_of_unity(m, s)
+            assert _root_exponent(lam) == s, (m, s)
+            # -zeta^s = zeta^(s + m/2) at even m, no power of zeta_m at odd m
+            expected = (s + m // 2) % m if m % 2 == 0 else None
+            assert _root_exponent(-lam) == expected, (m, s)
+        # |1 + zeta| = 2 cos(pi/m) is 1 only at m = 3, where 1 + zeta and
+        # zeta + zeta^2 are -zeta^2 and -1, powers of no zeta_3
+        for other in (z + 1, z + z * z, z * 2, 2, Fraction(1, 2), 0):
+            lam = CyclotomicNumber.rational(m, 0) + other
+            assert _root_exponent(lam) is None, (m, other)
+    assert _root_exponent(None) is None
+    with pytest.raises(TypeError):
+        _root_exponent(2)
+
+
+LARGE_QBINOM = """
+from weylclifford import cli
+from weylclifford.cyclotomic import root_of_unity
+from weylclifford.qbinom import q_binomial
+assert cli.main(["qbinom", "512", "256"]) == 0
+# at a primitive p-th root, [p-1 k] = (-1)^k zeta^(-k(k+1)/2)
+assert q_binomial(256, 128, root_of_unity(257)) == root_of_unity(257, -128 * 129 // 2)
+"""
+
+
+def test_large_entries_near_the_cap_are_quick():
+    # qbinom 512 256 is 0 by q-Lucas; [256 128] at zeta_257, where q-Lucas
+    # does not help, runs on integer lists of 257 entries
+    src = str(Path(weylclifford.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", LARGE_QBINOM],
+        capture_output=True, text=True, env=env, check=True, timeout=6,
+    ).stdout
+    value = json.loads(out)["value"]
+    assert value == {"order": 512, "coeffs": ["0"] * 256}
+
