@@ -23,33 +23,36 @@ monomial; exponents are restricted to non-negative integers.
 
 Power sums.  ``lame_check`` expands (sum_k a_k t_k)^l without the
 normal-form product.  The coefficient of t^e is c_e * prod_k a_k^{e_k},
-where c_e -- the q-multinomial prod_k [e_1+...+e_k; e_k]_q at
-q = zeta^{-zeta_power} -- does not depend on the a_k.  The table {e: c_e}
-grows one factor at a time by
+where c_e = prod_k [e_1+...+e_k; e_k]_q is the q-multinomial at
+q = zeta^{-zeta_power}: the q-binomial theorem for the q-commuting pair
+sum_{i<k} a_i t_i and a_k t_k, applied once per k.  q has order
+M = l / gcd(zeta_power, l), so by q-Lucas (Desarmenien 1982)
 
-    c'_{e+u_k} += zeta^{-zeta_power * sum_{i>k} e_i} * c_e,
+    [p; j]_q = C(p // M, j // M) [p mod M; j mod M]_q,
 
-with c_e kept in Z[C_l] as l integers over 1, zeta, ..., zeta^{l-1}:
-every phase is an l-th root, so a step is a rotation and integer adds,
-with no denominator and no reduction.  Exponents stay weak throughout;
-strict mode folds them mod l only at the end, which is exact because
-the phase depends on the e_i only mod l.  Each c_e is then scattered
-into Q(zeta_m) and reduced once, and only the nonzero ones meet the
-a_k.  They accumulate onto a residual seeded with -a_k^l at the pure
-powers (t_k^l in weak mode, the identity in strict mode), so the
-right-hand side is never built apart.  The last step holds
-C(l+n-1, n-1) compositions, each pushed to n successors by one
-rotation of length l.
+which is 0 when j mod M > p mod M.  At p = l the factor k = n,
+[l; e_n]_q, is 0 unless M | e_n; then the next prefix sum l - e_n is
+again a multiple of M, and so on down the product: c_e = 0 unless every
+e_k is a multiple of M, and then c_e is the ordinary multinomial
+C(L; e/M) with L = l / M.  So only the compositions f of L into n
+parts are visited, each giving C(L; f) prod_k (a_k^M)^{f_k} at t^{M f}.
+A pure power f = L u_k has coefficient 1 and cancels the right-hand
+side's a_k^l exactly (t_k^l in weak mode, the identity in strict
+mode), so the residual is the sum over the other f alone.  Their
+exponents M f_k stay below l, so strict and weak mode give the same
+monomials with no fold mod l.  For a coprime zeta_power, L = 1 leaves
+no f that is not a pure power, and the residual is 0 with no field
+arithmetic at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from operator import add
+from itertools import combinations
+from math import factorial, gcd, prod
 
-from .cyclotomic import CyclotomicNumber, OrderMismatchError, _reduce, root_of_unity
+from .cyclotomic import CyclotomicNumber, OrderMismatchError, root_of_unity
 
 __all__ = [
     "AlgebraSignature",
@@ -308,30 +311,6 @@ def linear_combination(sig: AlgebraSignature, coeffs) -> AlgebraElement:
     return AlgebraElement(sig, terms)
 
 
-def _power_table(n: int, l: int, zeta_power: int, p: int) -> dict:
-    """{e: c_e} with (sum_k a_k t_k)^p = sum_e c_e a^e t^e, weak exponents.
-
-    Each c_e is a list c of l integers, standing for sum_j c[j] zeta^j
-    in Z[C_l].  Right-multiplying t^e by t_k costs zeta^{-zeta_power * s}
-    with s = sum_{i>k} e_i, a rotation of c.
-    """
-    table = {(0,) * n: [1] + [0] * (l - 1)}
-    for _ in range(p):
-        nxt: dict = {}
-        for e, c in table.items():
-            w, s = c, 0
-            for k in range(n - 1, -1, -1):
-                f = e[:k] + (e[k] + 1,) + e[k + 1:]
-                acc = nxt.get(f)
-                nxt[f] = w if acc is None else list(map(add, acc, w))
-                if k and e[k]:  # s moves, and with it the rotation
-                    s += e[k]
-                    r = -zeta_power * s % l
-                    w = c[-r:] + c[:-r]
-        table = nxt
-    return table
-
-
 def lame_check(sig: AlgebraSignature, coeffs):
     """Check (sum_k a_k t_k)^l against its power-sum form.
 
@@ -343,28 +322,23 @@ def lame_check(sig: AlgebraSignature, coeffs):
     if len(coeffs) != sig.n:
         raise ValueError("need exactly n coefficients")
     n, l, m = sig.n, sig.l, sig.cyclotomic_order
-    step = m // l
-    strict = sig.mode == "strict"
-    powers = {(k, l): c ** l for k, c in enumerate(coeffs)}
+    order = l // gcd(sig.zeta_power, l)  # M, the order of q
+    big = l // order  # L
+    ladders = [[CyclotomicNumber.one(m)] for _ in coeffs]  # [k][x] = a_k^(M x)
     terms: dict = {}
-    for k in range(n):
-        e = (0,) * n if strict else tuple(l if i == k else 0 for i in range(n))
-        _add_term(terms, e, -powers[k, l])
-    for e, v in _power_table(n, l, sig.zeta_power, l).items():
-        scattered = [0] * m
-        scattered[::step] = v
-        num = _reduce(m, scattered)
-        if not any(num):
+    for cuts in combinations(range(big + n - 1), n - 1):  # stars and bars
+        f = [b - a - 1 for a, b in zip((-1,) + cuts, cuts + (big + n - 1,))]
+        if big in f:  # a pure power: it cancels a_k^l
             continue
-        c = CyclotomicNumber._raw(m, tuple(num), 1)
-        for k, x in enumerate(e):
+        c = CyclotomicNumber.rational(m, factorial(big) // prod(map(factorial, f)))
+        for k, x in enumerate(f):
             if x:
-                if (k, x) not in powers:
-                    powers[k, x] = coeffs[k] ** x
-                c = c * powers[k, x]
-        if strict:
-            e = tuple(x % l for x in e)
-        _add_term(terms, e, c)
+                row = ladders[k]
+                while len(row) <= x:
+                    row.append(row[-1] * row[1] if len(row) > 1 else coeffs[k] ** order)
+                c = c * row[x]
+        if not c.is_zero():
+            terms[tuple(order * x for x in f)] = c
     return not terms, AlgebraElement._raw(sig, terms)
 
 

@@ -23,16 +23,18 @@ Q(zeta_m) (CyclotomicNumber) for an exact lam.  The r-row (built factor
 by factor) and [l k]_lam (the q-Pascal rule) run on lists c of
 integers, standing for sum_i c[i] lam^i in Z[x]/(x^size - 1), where
 multiplying by lam^b is a rotation of the list by b; lam enters once,
-at the end.  At lam = zeta_m^s of order M, size = M and each list goes
-to Q(zeta_m) by one scatter to the exponents s*i mod m and one
-reduction; there q-Lucas first cuts [l k] to
+at the end.  At a root of unity lam = +-zeta_m^s, of order M (at odd m,
+-zeta_m^s has twice the order of zeta_m^s), size = M and each list goes
+to Q(zeta_m) by one scatter to the exponents s*i mod m, signed (-1)^i
+for -zeta_m^s at odd m, and one reduction; there q-Lucas first cuts
+[l k] to
 
     [l k]_lam = C(l // M, k // M) [l mod M, k mod M]_lam,
 
 0 when k mod M > l mod M, so lam = 1 gives C(l, k) at once.  For
 lam=None the size is one above the formal degree, so the list is the
-polynomial in lam, and any other lam (-zeta_m^s at odd m, 1 + zeta, a
-rational) evaluates that polynomial once, by Horner.  None of these
+polynomial in lam, and any other lam (1 + zeta, a rational) evaluates
+these polynomials against one table of powers of lam.  None of these
 divides, so a lam that makes some [j]_lam vanish needs no special
 case, and nothing is cached.
 """
@@ -40,11 +42,17 @@ case, and nothing is cached.
 from __future__ import annotations
 
 import random
-from math import comb, gcd
-from operator import add, sub
+from math import comb, gcd, lcm
+from operator import add, mul, sub
 
 from . import algebra
-from .cyclotomic import CyclotomicNumber, IntPolynomial, _reduce, root_of_unity
+from .cyclotomic import (
+    CyclotomicNumber,
+    IntPolynomial,
+    _normalize,
+    _reduce,
+    root_of_unity,
+)
 
 __all__ = [
     "r_poly",
@@ -66,12 +74,13 @@ def _ring(lam):
 
 
 def _root_exponent(lam):
-    """s with lam = zeta_m^s (m = lam.order), else None; exact, no floats.
+    """(s, sign) with lam = sign * zeta_m^s (m = lam.order), else None.
 
     zeta^s is the basis vector of exponent s - r for the multiple r of
     d = phi(m) with r <= s < r + d, so at most ceil(m/d) shifts by
     zeta^-r look for a single coordinate +-1.  -zeta^t is zeta^(t + m/2)
-    at even m and a power of no zeta_m at odd m.  None for lam = None.
+    at even m, so sign = -1 only at odd m.  Exact, no floats; None for
+    lam = None.
     """
     _ring(lam)  # the TypeError for a lam that is not cyclotomic
     if lam is None or lam._den != 1:
@@ -83,28 +92,53 @@ def _root_exponent(lam):
         if len(hits) == 1:  # lam = c zeta^(r + t)
             t = hits[0]
             if num[t] == 1:
-                return r + t
-            if num[t] == -1 and m % 2 == 0:
-                return (r + t + m // 2) % m
+                return r + t, 1
+            if num[t] == -1:
+                return (r + t, -1) if m % 2 else ((r + t + m // 2) % m, 1)
             return None
     return None
 
 
-def _value(coeffs, lam, s):
-    """sum_i coeffs[i] lam^i in lam's ring.
+def _root_order(m, s, sign):
+    """The order of sign * zeta_m^s: M, or 2M for sign = -1 at odd m."""
+    order = m // gcd(s, m)
+    return order if sign == 1 else 2 * order
 
-    An IntPolynomial for lam=None; at lam = zeta_m^s one scatter to the
-    exponents s*i mod m and one reduction; at any other lam, Horner.
+
+def _values(lists, lam, root):
+    """[sum_i c[i] lam^i for c in lists] in lam's ring.
+
+    IntPolynomials for lam=None.  At lam = sign * zeta_m^s, one scatter
+    of each list to the exponents s*i mod m, with the sign (-1)^i for
+    sign = -1, and one reduction.  At any other lam, one table of powers
+    of lam over a common denominator, against which each list is an
+    integer combination of coordinates.
     """
     if lam is None:
-        return IntPolynomial(coeffs)
-    if s is None:
-        return IntPolynomial(coeffs)(lam)
+        return [IntPolynomial(c) for c in lists]
     m = lam.order
-    scattered = [0] * m
-    for i, c in enumerate(coeffs):
-        scattered[s * i % m] += c
-    return CyclotomicNumber._raw(m, tuple(_reduce(m, scattered)), 1)
+    if root is None:
+        powers = [CyclotomicNumber.one(m)]
+        for _ in range(1, max(map(len, lists))):
+            powers.append(powers[-1] * lam)
+        den = lcm(*(p._den for p in powers))
+        cols = list(zip(*([x * (den // p._den) for x in p._num] for p in powers)))
+        return [
+            CyclotomicNumber._raw(
+                m, *_normalize([sum(map(mul, c, col)) for col in cols], den)
+            )
+            for c in lists
+        ]
+    s, sign = root
+    out = []
+    for c in lists:
+        if sign == -1:  # lam^i = (-1)^i zeta^(s i)
+            c = [-x if i % 2 else x for i, x in enumerate(c)]
+        scattered = [0] * m
+        for i, x in enumerate(c):
+            scattered[s * i % m] += x
+        out.append(CyclotomicNumber._raw(m, tuple(_reduce(m, scattered)), 1))
+    return out
 
 
 def _r_row(l: int, lam):
@@ -113,8 +147,8 @@ def _r_row(l: int, lam):
     Each coefficient is an integer list of length lam's order at a root
     of unity, else 1 + l(l-1)/2, one above its degree in lam.
     """
-    s = _root_exponent(lam)
-    size = l * (l - 1) // 2 + 1 if s is None else lam.order // gcd(s, lam.order)
+    root = _root_exponent(lam)
+    size = l * (l - 1) // 2 + 1 if root is None else _root_order(lam.order, *root)
     unit = [1] + [0] * (size - 1)
     row = [unit]
     for p in range(l):
@@ -125,7 +159,7 @@ def _r_row(l: int, lam):
             + [list(map(sub, a, b)) for a, b in zip(row, turned[1:])]
             + [unit]
         )
-    return [_value(c, lam, s) for c in row]
+    return _values(row, lam, root)
 
 
 def r_poly(k: int, l: int, lam=None):
@@ -168,31 +202,31 @@ def q_binomial(l: int, k: int, lam=None):
     [n b] = [n-1 b-1] + lam^b [n-1 b] only adds and multiplies by powers
     of lam, so it holds as written in Z[x]/(x^size - 1), including at a
     lam where some [j]_lam vanishes and a quotient of q-factorials is
-    0/0.  At lam = zeta_m^s of order M, q-Lucas leaves l, k < M and
+    0/0.  At lam = +-zeta_m^s of order M, q-Lucas leaves l, k < M and
     size = M; otherwise size = j(l-j) + 1, one above the degree of the
     formal [l j], with j = min(k, l-k).  The entries [i+b b] for
     i <= l-j, b <= j are filled one i at a time.
     """
     if l < 0 or not 0 <= k <= l:
         raise ValueError("need 0 <= k <= l")
-    s = _root_exponent(lam)
+    root = _root_exponent(lam)
     scale = 1
-    if s is not None:
-        order = lam.order // gcd(s, lam.order)
+    if root is not None:
+        order = _root_order(lam.order, *root)
         scale = comb(l // order, k // order)
         l, k = l % order, k % order
         if k > l:
-            return _value([], lam, s)
+            return _values([[]], lam, root)[0]
     j = min(k, l - k)
     if j == 0:
-        return _value([scale], lam, s)
-    size = j * (l - j) + 1 if s is None else order
+        return _values([[scale]], lam, root)[0]
+    size = j * (l - j) + 1 if root is None else order
     col = [[scale] + [0] * (size - 1)] * (j + 1)
     for _ in range(l - j):
         for b in range(1, j + 1):
             c = col[b]
             col[b] = list(map(add, col[b - 1], c[-b:] + c[:-b]))
-    return _value(col[j], lam, s)
+    return _values([col[j]], lam, root)[0]
 
 
 def _random_nonzero(rng: random.Random, order: int) -> CyclotomicNumber:

@@ -3,7 +3,8 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd, prod
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import weylclifford
 from weylclifford.algebra import (
-    _power_table,
     AlgebraElement,
     AlgebraSignature,
     SignatureMismatchError,
@@ -268,9 +268,9 @@ def _power_sum_reference(sig, coeffs):
 
 
 @st.composite
-def power_sum_cases(draw):
+def power_sum_cases(draw, max_l=9):
     n = draw(st.integers(1, 5))
-    l = draw(st.integers(2, 9))
+    l = draw(st.integers(2, max_l))
     sig = sig_for(
         n, l, draw(st.sampled_from(["strict", "weak"])), draw(st.integers(0, l - 1))
     )
@@ -297,6 +297,30 @@ def test_lame_check_matches_normal_form_power(case):
     reference = _power_sum_reference(sig, coeffs)
     assert residual == reference
     assert passed == reference.is_zero()
+
+
+def _power_table(n: int, l: int, zeta_power: int, p: int) -> dict:
+    """{e: c_e} with (sum_k a_k t_k)^p = sum_e c_e a^e t^e, weak exponents.
+
+    Each c_e is a list c of l integers, standing for sum_j c[j] zeta^j
+    in Z[C_l].  Right-multiplying t^e by t_k costs zeta^{-zeta_power * s}
+    with s = sum_{i>k} e_i, a rotation of c.
+    """
+    table = {(0,) * n: [1] + [0] * (l - 1)}
+    for _ in range(p):
+        nxt: dict = {}
+        for e, c in table.items():
+            w, s = c, 0
+            for k in range(n - 1, -1, -1):
+                f = e[:k] + (e[k] + 1,) + e[k + 1:]
+                acc = nxt.get(f)
+                nxt[f] = w if acc is None else list(map(add, acc, w))
+                if k and e[k]:  # s moves, and with it the rotation
+                    s += e[k]
+                    r = -zeta_power * s % l
+                    w = c[-r:] + c[:-r]
+        table = nxt
+    return table
 
 
 def _table_value(sig, v):
@@ -340,28 +364,81 @@ def test_power_table_keeps_only_pure_powers(n, l):
         assert all(values[e] == 1 for e in pure)
 
 
+def _table_residual(sig, coeffs):
+    """lame_check's residual from the q-multinomial table: every nonzero
+    c_e times prod_k a_k^{e_k}, exponents folded mod l in strict mode,
+    minus the a_k^l of the right-hand side."""
+    coeffs = [sig.coerce(c) for c in coeffs]
+    n, l = sig.n, sig.l
+    strict = sig.mode == "strict"
+    terms = {}
+    for k, a in enumerate(coeffs):
+        e = (0,) * n if strict else tuple(l if i == k else 0 for i in range(n))
+        terms[e] = terms.get(e, 0) - a ** l
+    powers = {}
+    for e, v in _power_table(n, l, sig.zeta_power, l).items():
+        c = _table_value(sig, v)
+        if c.is_zero():
+            continue
+        for k, x in enumerate(e):
+            if (k, x) not in powers:
+                powers[k, x] = coeffs[k] ** x
+            c = c * powers[k, x]
+        if strict:
+            e = tuple(x % l for x in e)
+        terms[e] = terms.get(e, 0) + c
+    return AlgebraElement(sig, terms)
+
+
+@given(power_sum_cases(max_l=16))
+@settings(max_examples=60, deadline=None)
+@example((sig_for(3, 6, zeta_power=2), [1, root_of_unity(12), Fraction(1, 2)]))
+@example((sig_for(4, 6, "weak", 3), [2, root_of_unity(12, 5), 1, -1]))
+@example((sig_for(2, 16, zeta_power=4), [root_of_unity(32, 3), Fraction(-2, 3)]))
+@example((sig_for(3, 12, "weak", 0), [1, root_of_unity(24, 7), 2]))
+def test_lame_check_matches_power_table(case):
+    # at p = l the q-multinomial c_e at q of order M = l / gcd(zeta_power, l)
+    # is 0 unless every e_k is a multiple of M, and then it is C(L; e/M)
+    # with L = l / M: the q-Lucas closed form lame_check runs on
+    sig, coeffs = case
+    n, l = sig.n, sig.l
+    order = l // gcd(sig.zeta_power, l)
+    for e, v in _power_table(n, l, sig.zeta_power, l).items():
+        c = _table_value(sig, v)
+        if not c.is_zero():
+            assert all(x % order == 0 for x in e), (sig, e)
+            f = [x // order for x in e]
+            assert c == factorial(l // order) // prod(map(factorial, f)), (sig, e)
+    assert lame_check(sig, coeffs)[1] == _table_residual(sig, coeffs)
+
+
 LARGE_LAME = """
 import random
 from weylclifford.algebra import AlgebraSignature, lame_check
 from weylclifford.sampling import sample_coefficients
-sig = AlgebraSignature(4, 31)
-coeffs = sample_coefficients(random.Random(31), sig.cyclotomic_order, 4)
-ok, residual = lame_check(sig, coeffs)
-print(ok, len(residual.terms))
+for n, l, zeta_power in ((4, 31, 1), (3, 64, 8), (6, 12, 0)):
+    sig = AlgebraSignature(n, l, zeta_power=zeta_power)
+    coeffs = sample_coefficients(random.Random(l), sig.cyclotomic_order, n)
+    assert not any(c.is_zero() for c in coeffs)
+    ok, residual = lame_check(sig, coeffs)
+    print(ok, len(residual.terms))
 """
 
 
 def test_lame_check_large_order_runs_quickly():
-    # the normal-form power takes ~46 s of CPU here (~10 s at l = 23) on
-    # a 2-vCPU VM; a fresh interpreter with a timeout makes a slow path
-    # fail instead of hang
+    # the normal-form power takes ~46 s of CPU at (4, 31) (~10 s at
+    # l = 23) on a 2-vCPU VM, and the q-multinomial table 0.7-0.8 s at
+    # each case; a fresh interpreter with a timeout makes a slow path fail
+    # instead of hang.  With every a_k nonzero, each composition of
+    # L = l / M into n parts but the n pure powers leaves one term:
+    # none at a coprime phase, C(10, 2) - 3 at M = 8, C(17, 5) - 6 at M = 1
     src = str(Path(weylclifford.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", LARGE_LAME],
         capture_output=True, text=True, env=env, check=True, timeout=15,
     ).stdout.split()
-    assert out == ["True", "0"]
+    assert out == ["True", "0", "False", str(comb(10, 2) - 3), "False", str(comb(17, 5) - 6)]
 
 
 # ---------------------------------------------------------------------------

@@ -76,3 +76,13 @@ def test_exact_track_and_qbinom_cli_run_without_numpy():
         "    raise SystemExit('fourier --tol nan ran')\n"
         "assert 'numpy' not in sys.modules\n"
     )
+
+
+def test_algebra_does_not_load_qbinom():
+    # qbinom imports algebra, so the reverse import would close a cycle
+    run_fresh(
+        "import sys\n"
+        "import weylclifford.algebra\n"
+        "assert 'weylclifford.qbinom' not in sys.modules\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
