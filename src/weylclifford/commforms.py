@@ -11,18 +11,31 @@ The unit-lower-triangular matrices L and L' both carry h_c onto h+-:
     L  h_c L^T  = h+-,      L' h_c L'^T = h+-,
 
 with pair-block row patterns (0 1 0 1 ... | 1 0) / (0 1 0 1 ... | 1 1)
-for L and (-1 1 -1 1 ... | 1 0) / (-1 1 -1 1 ... | 0 1) for L'.  The
-identities are checked exactly; all arithmetic in this module is over
-Fraction entries, never floats.
+for L and (-1 1 -1 1 ... | 1 0) / (-1 1 -1 1 ... | 0 1) for L'.
 
 Transformations preserving h_c are symplectic; conjugation S -> L S L^-1
 carries the symplectic group isomorphically onto the group preserving
 h+-.
+
+Arithmetic is exact and never uses floats.  The public functions take
+2-D arrays of int or Fraction entries (anything else is a ValueError)
+and return numpy object arrays of Fraction entries.  Inside, a rational
+matrix S is held as an integer object array A and one positive
+denominator d with S = A/d, so products run over Python ints with no gcd
+per operation; converting at the boundary costs O(n^2).  Structure
+replaces dense products where it can: h_c is a signed permutation, so
+A h_c is a column swap with a sign and S is symplectic iff
+A h_c A^T = d^2 h_c; L is unit-lower-triangular over Z, so L^-1 is
+integral and comes from forward substitution; and the diagonal, shear
+and transvection factors of `random_symplectic` act from the right as
+column scalings, one column addition and a rank-1 update.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+import math
+import numbers
 import random
 
 import numpy as np
@@ -65,6 +78,35 @@ def identity_matrix(n: int) -> np.ndarray:
     return out
 
 
+def _scaled(m) -> tuple[np.ndarray, int]:
+    """(A, d) with m = A/d: A an int object array, d the lcm of the denominators."""
+    a = np.asarray(m, dtype=object)
+    if a.ndim != 2 or not all(isinstance(x, numbers.Rational) for x in a.flat):
+        raise ValueError("expected a 2-D array of int or Fraction entries")
+    d = math.lcm(*(int(x.denominator) for x in a.flat))
+    num = np.frompyfunc(lambda x: int(x.numerator) * (d // int(x.denominator)), 1, 1)
+    return num(a), d
+
+
+def _rational(x) -> Fraction:
+    """Fraction(x) with Python-int parts: a numpy integer's would overflow in products."""
+    x = Fraction(x)
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
+def _fractions(a: np.ndarray, d: int) -> np.ndarray:
+    """The public Fraction array a/d."""
+    return np.frompyfunc(lambda x: Fraction(x, d), 1, 1)(a)
+
+
+def _times_hc(a: np.ndarray) -> np.ndarray:
+    """A h_c: h_c is a signed permutation, so each column pair swaps and one side flips sign."""
+    out = np.empty_like(a)
+    out[:, 0::2] = -a[:, 1::2]
+    out[:, 1::2] = a[:, 0::2]
+    return out
+
+
 def canonical_form(n: int) -> np.ndarray:
     """h_c: block-diagonal 2x2 blocks [[0,1],[-1,0]]; n must be even."""
     if n < 2 or n % 2:
@@ -91,19 +133,17 @@ def clifford_form(n: int) -> np.ndarray:
 
 
 def is_antisymmetric(h: np.ndarray) -> bool:
-    n, m = h.shape
-    if n != m:
-        return False
-    return all(h[j, k] == -h[k, j] for j in range(n) for k in range(n))
+    a, _ = _scaled(h)
+    return a.shape[0] == a.shape[1] and np.array_equal(a, -a.T)
 
 
 def transform_form(g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """h' = G h G^T, exactly."""
-    g = np.asarray(g, dtype=object)
-    h = np.asarray(h, dtype=object)
-    if g.shape[1] != h.shape[0] or h.shape[0] != h.shape[1]:
+    """h' = G h G^T, exactly: one integer product over the denominator d_G^2 d_h."""
+    a, d = _scaled(g)
+    b, e = _scaled(h)
+    if a.shape[1] != b.shape[0] or b.shape[0] != b.shape[1]:
         raise ValueError("dimension mismatch")
-    return g @ h @ g.T
+    return _fractions(a @ b @ a.T, d * d * e)
 
 
 def matrix_L(n: int) -> np.ndarray:
@@ -114,13 +154,17 @@ def matrix_L(n: int) -> np.ndarray:
     """
     if n < 2 or n % 2:
         raise ValueError("matrix_L needs even n >= 2")
+    return _frac_matrix(_L_rows(n))
+
+
+def _L_rows(n: int) -> list[list[int]]:
     rows = []
     for k in range(1, n // 2 + 1):
         head = [0, 1] * (k - 1)
         tail = [0] * (n - 2 * k)
         rows.append(head + [1, 0] + tail)
         rows.append(head + [1, 1] + tail)
-    return _frac_matrix(rows)
+    return rows
 
 
 def matrix_Lprime(n: int) -> np.ndarray:
@@ -140,29 +184,59 @@ def matrix_Lprime(n: int) -> np.ndarray:
     return _frac_matrix(rows)
 
 
+def _is_symplectic(a: np.ndarray, d: int) -> bool:
+    """A h_c A^T == d^2 h_c for S = A/d square of even size n >= 2."""
+    n = a.shape[0]
+    if n < 2 or n % 2 or a.shape[1] != n:
+        return False
+    d2_hc = _times_hc(np.identity(n, dtype=object) * (d * d))
+    return np.array_equal(_times_hc(a) @ a.T, d2_hc)
+
+
 def is_symplectic(s: np.ndarray) -> bool:
     """True iff S h_c S^T = h_c exactly (even dimension)."""
-    s = np.asarray(s, dtype=object)
-    n = s.shape[0]
-    if s.shape[1] != n or n % 2:
-        return False
-    h = canonical_form(n)
-    return bool(np.all(transform_form(s, h) == h))
+    return _is_symplectic(*_scaled(s))
+
+
+def _scale_pairs(a: np.ndarray, d: int, xs) -> tuple[np.ndarray, int]:
+    """S diag(x_1, 1/x_1, ..., x_m, 1/x_m) for S = a/d: column scalings."""
+    den = math.lcm(*(x.denominator for x in xs), *(abs(x.numerator) for x in xs))
+    up = [x.numerator * (den // x.denominator) for x in xs]
+    down = [x.denominator * (den // x.numerator) for x in xs]
+    out = np.empty_like(a)
+    out[:, 0::2] = a[:, 0::2] * np.array(up, dtype=object)
+    out[:, 1::2] = a[:, 1::2] * np.array(down, dtype=object)
+    return out, d * den
+
+
+def _shear(a: np.ndarray, d: int, i: int, c: Fraction, upper: bool) -> tuple[np.ndarray, int]:
+    """S (1 + c E_{i,i+1}) if upper, else S (1 + c E_{i+1,i}), for S = a/d.
+
+    One column gains c times its partner.
+    """
+    src, dst = (i, i + 1) if upper else (i + 1, i)
+    out = a * c.denominator
+    out[:, dst] += c.numerator * a[:, src]
+    return out, d * c.denominator
+
+
+def _transvect(a: np.ndarray, d: int, v, c: Fraction) -> tuple[np.ndarray, int]:
+    """S (1 - c v v^T h_c) for S = a/d: a rank-1 update of the columns."""
+    e = math.lcm(*(x.denominator for x in v))
+    u = np.array([x.numerator * (e // x.denominator) for x in v], dtype=object)
+    # with v = u/e and c = p/q: S T = (q e^2 A - p (A u)(u^T h_c)) / (d q e^2)
+    scale = c.denominator * e * e
+    return scale * a - c.numerator * np.outer(a @ u, _times_hc(u[None, :])[0]), d * scale
 
 
 def diagonal_symplectic(*a) -> np.ndarray:
     """diag(a_1, 1/a_1, ..., a_m, 1/a_m) for nonzero rationals a_k."""
     if not a:
         raise ValueError("need at least one parameter")
-    vals = [Fraction(x) for x in a]
+    vals = [_rational(x) for x in a]
     if any(x == 0 for x in vals):
         raise ValueError("parameters must be nonzero")
-    n = 2 * len(vals)
-    d = _zeros(n, n)
-    for k, x in enumerate(vals):
-        d[2 * k, 2 * k] = x
-        d[2 * k + 1, 2 * k + 1] = 1 / x
-    return d
+    return _fractions(*_scale_pairs(np.identity(2 * len(vals), dtype=object), 1, vals))
 
 
 def symplectic_shear(n: int, pair: int = 0, c=1, upper: bool = True) -> np.ndarray:
@@ -175,40 +249,28 @@ def symplectic_shear(n: int, pair: int = 0, c=1, upper: bool = True) -> np.ndarr
         raise ValueError("need even n >= 2")
     if not 0 <= pair < n // 2:
         raise ValueError("pair index out of range")
-    s = identity_matrix(n)
-    i = 2 * pair
-    if upper:
-        s[i, i + 1] = Fraction(c)
-    else:
-        s[i + 1, i] = Fraction(c)
-    return s
+    return _fractions(*_shear(np.identity(n, dtype=object), 1, 2 * pair, _rational(c), upper))
 
 
 def symplectic_transvection(v, c=1) -> np.ndarray:
     """T = 1 - c v v^T h_c; exactly symplectic since h_c^2 = -1."""
-    vec = [Fraction(x) for x in v]
+    vec = [_rational(x) for x in v]
     n = len(vec)
     if n % 2 or n < 2:
         raise ValueError("transvection needs even dimension")
-    h = canonical_form(n)
-    vh = [sum((vec[k] * h[k, j] for k in range(n)), Fraction(0)) for j in range(n)]
-    t = identity_matrix(n)
-    cf = Fraction(c)
-    for i in range(n):
-        for j in range(n):
-            t[i, j] -= cf * vec[i] * vh[j]
-    return t
+    return _fractions(*_transvect(np.identity(n, dtype=object), 1, vec, _rational(c)))
 
 
 def random_symplectic(n: int, rng: random.Random) -> np.ndarray:
     """Product of six diagonal, shear and transvection generators.
 
     Cross-pair transvections are included so the sample is not confined
-    to block-diagonal products.
+    to block-diagonal products.  Each factor acts on the running product
+    from the right in O(n^2).
     """
     if n < 2 or n % 2:
         raise ValueError("need even n >= 2")
-    s = identity_matrix(n)
+    a, d = np.identity(n, dtype=object), 1
     for _ in range(6):
         kind = rng.randrange(3)
         if kind == 0:
@@ -216,28 +278,23 @@ def random_symplectic(n: int, rng: random.Random) -> np.ndarray:
                 Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
                 for _ in range(n // 2)
             ]
-            g = diagonal_symplectic(*params)
+            a, d = _scale_pairs(a, d, params)
         elif kind == 1:
-            g = symplectic_shear(
-                n,
-                pair=rng.randrange(n // 2),
-                c=Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
-                upper=bool(rng.randrange(2)),
-            )
+            pair = rng.randrange(n // 2)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            a, d = _shear(a, d, 2 * pair, c, upper=bool(rng.randrange(2)))
         else:
             v = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
-            g = symplectic_transvection(v, Fraction(rng.randint(-2, 2)))
-        s = s @ g
-    return s
+            a, d = _transvect(a, d, v, Fraction(rng.randint(-2, 2)))
+    return _fractions(a, d)
 
 
 def exact_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a square Fraction matrix by Gauss-Jordan elimination."""
-    a = np.asarray(a, dtype=object)
-    n = a.shape[0]
-    if a.shape[1] != n:
+    """Inverse of a square rational matrix by Gauss-Jordan elimination over Fraction."""
+    work = _fractions(*_scaled(a))
+    n = work.shape[0]
+    if work.shape[1] != n:
         raise ValueError("matrix must be square")
-    work = a.copy()
     inv = identity_matrix(n)
     for col in range(n):
         piv = next((r for r in range(col, n) if work[r, col] != 0), None)
@@ -257,16 +314,24 @@ def exact_inverse(a: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _unit_lower_inverse(lmat: np.ndarray) -> np.ndarray:
+    """L^-1 of a unit-lower-triangular integer L, integral, by forward substitution."""
+    inv = np.identity(lmat.shape[0], dtype=object)
+    for i in range(1, lmat.shape[0]):
+        inv[i] -= lmat[i, :i] @ inv[:i]
+    return inv
+
+
 def conjugate_to_N(s: np.ndarray) -> np.ndarray:
     """N_S = L S L^-1: transports an h_c-preserver to an h+--preserver.
 
     Multiplicative in S; raises on non-symplectic input.
     """
-    s = np.asarray(s, dtype=object)
-    if not is_symplectic(s):
+    a, d = _scaled(s)
+    if not _is_symplectic(a, d):
         raise ValueError("input must be symplectic")
-    lmat = matrix_L(s.shape[0])
-    return lmat @ s @ exact_inverse(lmat)
+    lmat = np.array(_L_rows(a.shape[0]), dtype=object)
+    return _fractions(lmat @ a @ _unit_lower_inverse(lmat), d)
 
 
 def form_to_json(h: np.ndarray) -> dict:

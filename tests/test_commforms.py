@@ -1,9 +1,12 @@
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylclifford.commforms import (
     canonical_form,
@@ -43,12 +46,29 @@ LP6 = [
 ]
 
 
+# not a 2-D array of int or Fraction entries: the exact functions refuse these
+NOT_RATIONAL_MATRICES = [
+    np.array([Fraction(1), Fraction(0)], dtype=object),
+    np.zeros((2, 2, 2), dtype=object),
+    Fraction(1),
+    [[1.0, 0], [0, 1]],
+    [[float("nan"), 0], [0, 1]],
+    [[1, 0], [0, "1"]],
+    np.eye(2),
+]
+
+
 def exact_equal(a, b):
     a = np.asarray(a, dtype=object)
     b = np.asarray(b, dtype=object)
     return a.shape == b.shape and all(
         Fraction(x) == Fraction(y) for x, y in zip(a.ravel(), b.ravel())
     )
+
+
+def frac_array(a):
+    rows = np.asarray(a, dtype=object)
+    return np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
 
 
 def test_canonical_form_small():
@@ -71,6 +91,11 @@ def test_clifford_form_small():
     h3 = clifford_form(3)
     assert exact_equal(h3, [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])
     assert is_antisymmetric(h3)
+    assert not is_antisymmetric([[0, 1], [1, 0]])
+    assert not is_antisymmetric([[0, 1, 2], [-1, 0, 3]])
+    for bad in NOT_RATIONAL_MATRICES + [[[0, 0.5], [-0.5, 0]]]:
+        with pytest.raises(ValueError):
+            is_antisymmetric(bad)
     h5 = clifford_form(5)
     for j in range(5):
         for k in range(5):
@@ -85,6 +110,11 @@ def test_transform_form_basics():
     assert exact_equal(transform_form(two, h), 4 * np.asarray(h, dtype=object))
     with pytest.raises(ValueError):
         transform_form(identity_matrix(3), h)
+    for bad in NOT_RATIONAL_MATRICES:
+        with pytest.raises(ValueError):
+            transform_form(bad, identity_matrix(2))
+        with pytest.raises(ValueError):
+            transform_form(identity_matrix(2), bad)
 
 
 def test_frozen_L_matrices():
@@ -129,7 +159,11 @@ def test_is_symplectic():
     assert is_symplectic(identity_matrix(4))
     assert not is_symplectic(2 * identity_matrix(4))
     assert not is_symplectic(identity_matrix(3))
+    assert not is_symplectic([[1, 0, 0, 0], [0, 1, 0, 0]])
     assert is_symplectic(diagonal_symplectic(Fraction(2), Fraction(5, 3)))
+    for bad in NOT_RATIONAL_MATRICES:
+        with pytest.raises(ValueError):
+            is_symplectic(bad)
 
 
 def test_diagonal_symplectic():
@@ -150,6 +184,10 @@ def test_shears_and_transvections():
             for upper in (True, False):
                 s = symplectic_shear(n, pair=pair, c=Fraction(3, 2), upper=upper)
                 assert is_symplectic(s)
+                ref = identity_matrix(n)
+                i = 2 * pair
+                ref[(i, i + 1) if upper else (i + 1, i)] = Fraction(3, 2)
+                assert exact_equal(s, ref)
     v = np.array([Fraction(1), Fraction(0), Fraction(2), Fraction(-1)], dtype=object)
     t = symplectic_transvection(v, c=Fraction(1, 3))
     assert is_symplectic(t)
@@ -162,6 +200,13 @@ def test_shears_and_transvections():
         v = np.array([Fraction(x) for x in v], dtype=object)
         ref = identity_matrix(len(v)) - c * np.outer(v, v @ canonical_form(len(v)))
         assert exact_equal(symplectic_transvection(v, c=c), ref)
+    # numpy integer parameters are taken as Python ints, so products cannot wrap
+    big = np.array([2**40, 1, 3, 2**40], dtype=np.int64)
+    v = frac_array([big])[0]
+    ref = identity_matrix(4) - 2**20 * np.outer(v, v @ canonical_form(4))
+    assert exact_equal(symplectic_transvection(big, c=np.int64(2**20)), ref)
+    assert exact_equal(diagonal_symplectic(np.int64(2**40)), [[2**40, 0], [0, Fraction(1, 2**40)]])
+    assert exact_equal(symplectic_shear(2, c=np.int64(2**40)), [[1, 2**40], [0, 1]])
 
 
 def test_random_symplectic():
@@ -193,6 +238,13 @@ def test_exact_inverse():
     assert exact_equal(inv @ m, identity_matrix(2))
     with pytest.raises(ValueError):
         exact_inverse(np.array([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], dtype=object))
+    # int entries divide exactly, not as floats
+    inv = exact_inverse([[2, 1], [7, 5]])
+    assert exact_equal(inv, [[Fraction(5, 3), Fraction(-1, 3)], [Fraction(-7, 3), Fraction(2, 3)]])
+    assert all(type(x) is Fraction for x in inv.ravel())
+    for bad in NOT_RATIONAL_MATRICES:
+        with pytest.raises(ValueError):
+            exact_inverse(bad)
 
 
 def test_conjugate_to_N():
@@ -209,6 +261,9 @@ def test_conjugate_to_N():
     assert exact_equal(conjugate_to_N(s1 @ s2), conjugate_to_N(s1) @ conjugate_to_N(s2))
     with pytest.raises(ValueError):
         conjugate_to_N(2 * identity_matrix(n))
+    for bad in NOT_RATIONAL_MATRICES:
+        with pytest.raises(ValueError):
+            conjugate_to_N(bad)
 
 
 def test_conjugate_to_N_other_transport():
@@ -229,3 +284,115 @@ def test_form_json_round_trip():
         assert exact_equal(back, mat)
     with pytest.raises(ValueError):
         form_from_json({"n": 2, "entries": [["1/1", "0"], ["0"]]})
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against Fraction products written out here
+# ---------------------------------------------------------------------------
+
+def replay_random_symplectic(n, rng):
+    """random_symplectic's draws, in its order, as Fraction products of the public factors."""
+    s = identity_matrix(n)
+    for _ in range(6):
+        kind = rng.randrange(3)
+        if kind == 0:
+            params = [
+                Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                for _ in range(n // 2)
+            ]
+            g = diagonal_symplectic(*params)
+        elif kind == 1:
+            g = symplectic_shear(
+                n,
+                pair=rng.randrange(n // 2),
+                c=Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                upper=bool(rng.randrange(2)),
+            )
+        else:
+            v = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+            g = symplectic_transvection(v, Fraction(rng.randint(-2, 2)))
+        s = s @ g
+    return s
+
+
+even_sizes = st.integers(min_value=1, max_value=8).map(lambda k: 2 * k)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@given(even_sizes, seeds)
+@settings(max_examples=40, deadline=None)
+def test_random_symplectic_matches_factor_products(n, seed):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    s = random_symplectic(n, rng)
+    assert exact_equal(s, replay_random_symplectic(n, ref_rng))
+    assert all(type(x) is Fraction for x in s.ravel())
+    # same number of draws: the two generators are left in the same state
+    assert rng.random() == ref_rng.random()
+
+
+@given(even_sizes, seeds)
+@settings(max_examples=40, deadline=None)
+def test_conjugate_to_N_matches_fraction_products(n, seed):
+    s = random_symplectic(n, random.Random(seed))
+    lmat = matrix_L(n)
+    g = conjugate_to_N(s)
+    assert exact_equal(g, lmat @ s @ exact_inverse(lmat))
+    assert all(type(x) is Fraction for x in g.ravel())
+
+
+@st.composite
+def rational_matrix(draw, rows, cols):
+    """Entries in -9..9 over denominators 1..6; kind picks Fractions, ints or int64."""
+    kind = draw(st.sampled_from(["fraction", "int", "int64"]))
+    nums = st.integers(min_value=-9, max_value=9)
+    if kind == "fraction":
+        entry = st.builds(Fraction, nums, st.integers(min_value=1, max_value=6))
+        grid = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+        return np.array(grid, dtype=object).reshape(rows, cols)
+    grid = draw(st.lists(st.lists(nums, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return np.array(grid, dtype=object if kind == "int" else np.int64).reshape(rows, cols)
+
+
+@st.composite
+def form_and_change(draw):
+    m = draw(st.integers(min_value=0, max_value=6))
+    n = draw(st.integers(min_value=0, max_value=6))
+    return draw(rational_matrix(m, n)), draw(rational_matrix(n, n))
+
+
+@given(form_and_change())
+@settings(max_examples=150, deadline=None)
+def test_transform_form_matches_fraction_products(gh):
+    g, h = gh
+    out = transform_form(g, h)
+    gf, hf = frac_array(g).reshape(g.shape), frac_array(h).reshape(h.shape)
+    assert exact_equal(out, gf @ hf @ gf.T)
+    assert all(type(x) is Fraction for x in out.ravel())
+
+
+LARGE_FORMS = """
+import contextlib, io, json, random
+from weylclifford import cli
+from weylclifford.commforms import clifford_form, conjugate_to_N, random_symplectic, transform_form
+hpm = clifford_form(128)
+nmat = conjugate_to_N(random_symplectic(128, random.Random(0)))
+print(bool((transform_form(nmat, hpm) == hpm).all()))
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    rc = cli.main(["forms", "--n", "128"])
+blob = json.loads(buf.getvalue())
+print(rc, blob["L_transport_ok"], blob["Lprime_transport_ok"], len(blob["L"]["entries"]))
+"""
+
+
+def test_size_128_transport_runs_quickly():
+    # with Fraction products the transport took over 60 s and `forms --n 128`
+    # 32 s on a 2-vCPU VM; a fresh interpreter with a timeout makes a slow
+    # path fail instead of hang
+    out = subprocess.run(
+        [sys.executable, "-c", LARGE_FORMS],
+        capture_output=True, text=True, check=True, timeout=30,
+    ).stdout.split()
+    assert out == ["True", "0", "True", "True", "128"]
