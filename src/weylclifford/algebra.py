@@ -109,6 +109,8 @@ class AlgebraSignature:
             raise ValueError("order l must be at least 2")
         if self.mode not in ("strict", "weak"):
             raise ValueError("mode must be 'strict' or 'weak'")
+        if self.cyclotomic_order < 0:
+            raise ValueError("cyclotomic order must be positive (0 for the default)")
         if self.cyclotomic_order == 0:
             object.__setattr__(
                 self, "cyclotomic_order", default_cyclotomic_order(self.l)

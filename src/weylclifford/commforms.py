@@ -22,13 +22,15 @@ Arithmetic is exact and never uses floats.  The public functions take
 and return numpy object arrays of Fraction entries.  Inside, a rational
 matrix S is held as an integer object array A and one positive
 denominator d with S = A/d, so products run over Python ints with no gcd
-per operation; converting at the boundary costs O(n^2).  Structure
-replaces dense products where it can: h_c is a signed permutation, so
-A h_c is a column swap with a sign and S is symplectic iff
-A h_c A^T = d^2 h_c; L is unit-lower-triangular over Z, so L^-1 is
-integral and comes from forward substitution; and the diagonal, shear
-and transvection factors of `random_symplectic` act from the right as
-column scalings, one column addition and a rank-1 update.
+per operation.  Every public matrix, the constant forms h_c, h+-, L and
+L' included, is built as such an integer array and converted to Fraction
+once, in O(n^2), by one function.  Structure replaces dense products
+where it can: h_c is a signed permutation, so A h_c is a column swap
+with a sign, h_c itself is that swap of the identity, and S is
+symplectic iff A h_c A^T = d^2 h_c; L is unit-lower-triangular over Z,
+so L^-1 is integral and comes from forward substitution; and the
+diagonal, shear and transvection factors of `random_symplectic` act from
+the right as column scalings, one column addition and a rank-1 update.
 """
 
 from __future__ import annotations
@@ -59,25 +61,6 @@ __all__ = [
 ]
 
 
-def _frac_matrix(rows) -> np.ndarray:
-    out = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            out[i, j] = Fraction(x)
-    return out
-
-
-def _zeros(n: int, m: int) -> np.ndarray:
-    return np.full((n, m), Fraction(0), dtype=object)
-
-
-def identity_matrix(n: int) -> np.ndarray:
-    out = _zeros(n, n)
-    for i in range(n):
-        out[i, i] = Fraction(1)
-    return out
-
-
 def _scaled(m) -> tuple[np.ndarray, int]:
     """(A, d) with m = A/d: A an int object array, d the lcm of the denominators."""
     a = np.asarray(m, dtype=object)
@@ -94,9 +77,13 @@ def _rational(x) -> Fraction:
     return Fraction(int(x.numerator), int(x.denominator))
 
 
-def _fractions(a: np.ndarray, d: int) -> np.ndarray:
-    """The public Fraction array a/d."""
+def _fractions(a: np.ndarray, d: int = 1) -> np.ndarray:
+    """The public Fraction array a/d of an integer array a: every public matrix ends here."""
     return np.frompyfunc(lambda x: Fraction(x, d), 1, 1)(a)
+
+
+def identity_matrix(n: int) -> np.ndarray:
+    return _fractions(np.identity(n, dtype=object))
 
 
 def _times_hc(a: np.ndarray) -> np.ndarray:
@@ -111,25 +98,15 @@ def canonical_form(n: int) -> np.ndarray:
     """h_c: block-diagonal 2x2 blocks [[0,1],[-1,0]]; n must be even."""
     if n < 2 or n % 2:
         raise ValueError("canonical form needs even n >= 2")
-    h = _zeros(n, n)
-    for k in range(0, n, 2):
-        h[k, k + 1] = Fraction(1)
-        h[k + 1, k] = Fraction(-1)
-    return h
+    return _fractions(_times_hc(np.identity(n, dtype=object)))
 
 
 def clifford_form(n: int) -> np.ndarray:
     """h+-: +1 above the diagonal, -1 below, 0 on the diagonal."""
     if n < 2:
         raise ValueError("need n >= 2")
-    h = _zeros(n, n)
-    for j in range(n):
-        for k in range(n):
-            if j < k:
-                h[j, k] = Fraction(1)
-            elif j > k:
-                h[j, k] = Fraction(-1)
-    return h
+    j = np.arange(n)
+    return _fractions(np.sign(j - j[:, None]))
 
 
 def is_antisymmetric(h: np.ndarray) -> bool:
@@ -146,6 +123,23 @@ def transform_form(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return _fractions(a @ b @ a.T, d * d * e)
 
 
+def _pair_blocks(n: int, head, closing) -> np.ndarray:
+    """Unit-lower-triangular integer matrix of the L family.
+
+    Rows 2k and 2k+1 read (head head ... head | closing[r] | zeros), with
+    head repeated k times.
+    """
+    out = np.zeros((n, n), dtype=object)
+    for k in range(0, n, 2):
+        out[k:k + 2, :k] = head * (k // 2)
+        out[k:k + 2, k:k + 2] = closing
+    return out
+
+
+_L = ((0, 1), ((1, 0), (1, 1)))
+_LPRIME = ((-1, 1), ((1, 0), (0, 1)))
+
+
 def matrix_L(n: int) -> np.ndarray:
     """Unit-lower-triangular L with L h_c L^T = h+-.
 
@@ -154,17 +148,7 @@ def matrix_L(n: int) -> np.ndarray:
     """
     if n < 2 or n % 2:
         raise ValueError("matrix_L needs even n >= 2")
-    return _frac_matrix(_L_rows(n))
-
-
-def _L_rows(n: int) -> list[list[int]]:
-    rows = []
-    for k in range(1, n // 2 + 1):
-        head = [0, 1] * (k - 1)
-        tail = [0] * (n - 2 * k)
-        rows.append(head + [1, 0] + tail)
-        rows.append(head + [1, 1] + tail)
-    return rows
+    return _fractions(_pair_blocks(n, *_L))
 
 
 def matrix_Lprime(n: int) -> np.ndarray:
@@ -175,13 +159,7 @@ def matrix_Lprime(n: int) -> np.ndarray:
     """
     if n < 2 or n % 2:
         raise ValueError("matrix_Lprime needs even n >= 2")
-    rows = []
-    for k in range(1, n // 2 + 1):
-        head = [-1, 1] * (k - 1)
-        tail = [0] * (n - 2 * k)
-        rows.append(head + [1, 0] + tail)
-        rows.append(head + [0, 1] + tail)
-    return _frac_matrix(rows)
+    return _fractions(_pair_blocks(n, *_LPRIME))
 
 
 def _is_symplectic(a: np.ndarray, d: int) -> bool:
@@ -330,7 +308,7 @@ def conjugate_to_N(s: np.ndarray) -> np.ndarray:
     a, d = _scaled(s)
     if not _is_symplectic(a, d):
         raise ValueError("input must be symplectic")
-    lmat = np.array(_L_rows(a.shape[0]), dtype=object)
+    lmat = _pair_blocks(a.shape[0], *_L)
     return _fractions(lmat @ a @ _unit_lower_inverse(lmat), d)
 
 
@@ -345,6 +323,9 @@ def form_to_json(h: np.ndarray) -> dict:
 def form_from_json(obj: dict) -> np.ndarray:
     n = int(obj["n"])
     rows = obj["entries"]
+    if n < 1:
+        raise ValueError("a form needs n >= 1")
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("entry grid does not match dimension")
-    return _frac_matrix(rows)
+    parsed = np.frompyfunc(Fraction, 1, 1)(np.array(rows, dtype=object))
+    return _fractions(*_scaled(parsed))

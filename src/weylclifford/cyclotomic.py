@@ -258,6 +258,15 @@ def _normalize(num, den):
     return tuple(num), den
 
 
+def _scatter(order: int, coeffs, scale: int, shift: int = 0, den: int = 1):
+    """sum_e coeffs[e] zeta_order^{scale*e + shift} / den: one scatter, one reduction."""
+    out = [0] * order
+    for e, c in enumerate(coeffs):
+        if c:
+            out[(scale * e + shift) % order] += c
+    return CyclotomicNumber._raw(order, *_normalize(_reduce(order, out), den))
+
+
 class CyclotomicNumber:
     """Exact element of Q(zeta_m) in canonical reduced form."""
 
@@ -406,13 +415,8 @@ class CyclotomicNumber:
         return out
 
     def _map_exponents(self, order: int, scale: int, shift: int = 0):
-        """sum_e c_e zeta_order^{scale*e + shift}: one scatter, one reduction."""
-        coeffs = [0] * order
-        for e, c in enumerate(self._num):
-            if c:
-                coeffs[(scale * e + shift) % order] += c
-        num, den = _normalize(_reduce(order, coeffs), self._den)
-        return CyclotomicNumber._raw(order, num, den)
+        """sum_e c_e zeta_order^{scale*e + shift}."""
+        return _scatter(order, self._num, scale, shift, self._den)
 
     def times_root(self, k: int) -> "CyclotomicNumber":
         """self * zeta_m^k, by shifting every exponent by k."""

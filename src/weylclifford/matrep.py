@@ -348,13 +348,14 @@ def standardize_weyl_pair(u: np.ndarray, v: np.ndarray, l: int, tol: float = 1e-
             f"dimension {dim} exceeds order {l}: the pair is reducible"
         )
     eigvals, eigvecs = np.linalg.eig(v)
-    # a degenerate spectrum cannot host the full zeta-orbit of eigenvalues
-    for a in range(l):
-        for b in range(a + 1, l):
-            if abs(eigvals[a] - eigvals[b]) < 100 * tol * max(1.0, abs(eigvals[a])):
-                raise ReducibleRepresentationError(
-                    "V' has a (near-)degenerate spectrum: reducible pair"
-                )
+    # a degenerate spectrum cannot host the full zeta-orbit of eigenvalues:
+    # |lam_a - lam_b| < 100 tol max(1, |lam_a|) for some a < b (NaN is False)
+    size = np.fmax(1.0, np.abs(eigvals))[:, None]
+    near = np.abs(eigvals[:, None] - eigvals) < 100 * tol * size
+    if np.triu(near, 1).any():
+        raise ReducibleRepresentationError(
+            "V' has a (near-)degenerate spectrum: reducible pair"
+        )
     idx = int(np.argmin(np.abs(np.angle(eigvals))))
     mu = eigvals[idx]
     e = eigvecs[:, idx]

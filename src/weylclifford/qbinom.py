@@ -50,7 +50,7 @@ from .cyclotomic import (
     CyclotomicNumber,
     IntPolynomial,
     _normalize,
-    _reduce,
+    _scatter,
     root_of_unity,
 )
 
@@ -130,15 +130,9 @@ def _values(lists, lam, root):
             for c in lists
         ]
     s, sign = root
-    out = []
-    for c in lists:
-        if sign == -1:  # lam^i = (-1)^i zeta^(s i)
-            c = [-x if i % 2 else x for i, x in enumerate(c)]
-        scattered = [0] * m
-        for i, x in enumerate(c):
-            scattered[s * i % m] += x
-        out.append(CyclotomicNumber._raw(m, tuple(_reduce(m, scattered)), 1))
-    return out
+    if sign == -1:  # lam^i = (-1)^i zeta^(s i)
+        lists = [[-x if i % 2 else x for i, x in enumerate(c)] for c in lists]
+    return [_scatter(m, c, s) for c in lists]
 
 
 def _r_row(l: int, lam):

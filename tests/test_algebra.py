@@ -71,6 +71,14 @@ def test_default_order_convention():
     assert default_cyclotomic_order(6) == 12
 
 
+def test_negative_cyclotomic_order_rejected():
+    # -3 is a multiple of 3, but no field has a negative order; 0 means
+    # the default order
+    with pytest.raises(ValueError):
+        AlgebraSignature(2, 3, cyclotomic_order=-3)
+    assert AlgebraSignature(2, 3, cyclotomic_order=0).cyclotomic_order == 3
+
+
 def test_generator_monomials():
     sig = sig_for(2, 3)
     t1, t2 = generator(sig, 1), generator(sig, 2)

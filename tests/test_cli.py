@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shutil
@@ -256,6 +257,44 @@ def test_forms_transport(capsys):
     assert obj["h_pm"]["entries"][0] == ["0", "1", "1", "1", "1", "1"]
     assert obj["L"]["entries"][5] == ["0", "1", "0", "1", "1", "1"]
     assert obj["Lprime"]["entries"][4] == ["-1", "1", "-1", "1", "1", "0"]
+
+
+FORMS_N2 = (
+    '{"L":{"entries":[["1","0"],["1","1"]],"n":2},"L_transport_ok":true,'
+    '"Lprime":{"entries":[["1","0"],["0","1"]],"n":2},"Lprime_transport_ok":true,'
+    '"command":"forms","h_c":{"entries":[["0","1"],["-1","0"]],"n":2},'
+    '"h_pm":{"entries":[["0","1"],["-1","0"]],"n":2},"n":2}\n'
+)
+FORMS_N4 = (
+    '{"L":{"entries":[["1","0","0","0"],["1","1","0","0"],["0","1","1","0"],'
+    '["0","1","1","1"]],"n":4},"L_transport_ok":true,'
+    '"Lprime":{"entries":[["1","0","0","0"],["0","1","0","0"],["-1","1","1","0"],'
+    '["-1","1","0","1"]],"n":4},"Lprime_transport_ok":true,"command":"forms",'
+    '"h_c":{"entries":[["0","1","0","0"],["-1","0","0","0"],["0","0","0","1"],'
+    '["0","0","-1","0"]],"n":4},'
+    '"h_pm":{"entries":[["0","1","1","1"],["-1","0","1","1"],["-1","-1","0","1"],'
+    '["-1","-1","-1","0"]],"n":4},"n":4}\n'
+)
+
+
+@pytest.mark.parametrize("n, expected", [(2, FORMS_N2), (4, FORMS_N4)], ids=["n2", "n4"])
+def test_forms_json_bytes_pinned(n, expected, capsys):
+    # the bytes the command printed when every form was filled entry by
+    # entry with Fractions
+    assert run_cli(["forms", "--n", str(n)], capsys) == (0, expected, "")
+
+
+def test_forms_json_bytes_hashed(capsys):
+    # sha256 over the JSON of forms --n k, k = 2, 4, ..., 32 in turn, as
+    # printed when every form was filled entry by entry with Fractions
+    digest = hashlib.sha256()
+    for k in range(2, 33, 2):
+        rc, out, err = run_cli(["forms", "--n", str(k)], capsys)
+        assert (rc, err) == (0, "")
+        digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "028c7260467ac785af9554d573b5ade2e64a63d31b9ac92c2916296dca287118"
+    )
 
 
 def test_forms_usage(capsys):

@@ -284,6 +284,36 @@ def test_form_json_round_trip():
         assert exact_equal(back, mat)
     with pytest.raises(ValueError):
         form_from_json({"n": 2, "entries": [["1/1", "0"], ["0"]]})
+    for n in (0, -1):  # an empty grid
+        with pytest.raises(ValueError):
+            form_from_json({"n": n, "entries": []})
+
+
+def test_every_public_matrix_has_python_int_fractions():
+    s = random_symplectic(6, random.Random(3))
+    made = [
+        identity_matrix(6),
+        canonical_form(6),
+        clifford_form(6),
+        clifford_form(5),
+        matrix_L(6),
+        matrix_Lprime(6),
+        diagonal_symplectic(2, Fraction(1, 3), -1),
+        symplectic_shear(6, 1, Fraction(-2, 3)),
+        symplectic_transvection([1, 0, Fraction(1, 2), 0, -1, 2], 3),
+        s,
+        conjugate_to_N(s),
+        transform_form(s, clifford_form(6)),
+        exact_inverse(s),
+        form_from_json(form_to_json(s)),
+        form_from_json({"n": 2, "entries": [[np.int64(1), "1/2"], [Fraction(1, 4), np.int64(-3)]]}),
+    ]
+    # numpy-int parts would overflow in products
+    for m in made:
+        assert m.dtype == object
+        for x in m.ravel():
+            assert type(x) is Fraction
+            assert type(x.numerator) is int and type(x.denominator) is int
 
 
 # ---------------------------------------------------------------------------

@@ -413,6 +413,29 @@ def test_standardize_error_modes():
         standardize_weyl_pair(u, np.eye(2), 3)
 
 
+@pytest.mark.parametrize("l", [2, 3, 5])
+def test_standardize_degenerate_spectrum(l):
+    # V' = 0 and a V' scaled below the tolerance pass the exchange check
+    # with an invertible U', but their spectra cannot carry the zeta-orbit
+    u, v = weyl_pair(l)
+    for vp in (np.zeros((l, l)), 1e-9 * v):
+        with pytest.raises(ReducibleRepresentationError, match="degenerate"):
+            standardize_weyl_pair(u, vp, l)
+    # scaled above the tolerance, the pair is standard with mu the scale
+    m, mu = standardize_weyl_pair(u, 1e-3 * v, l)
+    assert abs(mu - 1e-3) < 1e-12
+    minv = np.linalg.inv(m)
+    assert np.allclose(minv @ u @ m, u) and np.allclose(minv @ (1e-3 * v) @ m, mu * v)
+
+
+def test_standardize_nilpotent_v():
+    # U' V' = -V' U' with V' nilpotent: the exchange check passes at l = 2
+    u = np.diag([1.0, -1.0])
+    v = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ReducibleRepresentationError, match="degenerate"):
+        standardize_weyl_pair(u, v, 2)
+
+
 # ---------------------------------------------------------------------------
 # reducible pairs
 # ---------------------------------------------------------------------------
