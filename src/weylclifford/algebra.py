@@ -400,29 +400,21 @@ def group_phase_table(m: int):
 
     Entry [j][k] is the exponent r with t_j t_k = e^{i lam r} t_k t_j,
     tracked exactly in units of lam; the construction makes every
-    upper-triangular entry equal 1.  Per-site step parameters a_k with
-    partner steps lam/a_k would cancel out of every phase, so none are
-    taken.
+    upper-triangular entry equal 1.  With t_j = prod_s u_s^{p_s} v_s^{q_s},
+    r is the symplectic product sum_s (p_s q'_s - q_s p'_s) of the
+    exponent rows of t_j and t_k = prod_s u_s^{p'_s} v_s^{q'_s}.
+    Per-site step parameters a_k with partner steps lam/a_k would cancel
+    out of every phase, so none are taken.
     """
-
-    def mul(x, y):
-        phase = x[0] + y[0]
-        sites = []
-        for (p1, q1), (p2, q2) in zip(x[1], y[1]):
-            phase -= q1 * p2  # v^{q1} u^{p2} = e^{-i lam q1 p2} u^{p2} v^{q1}
-            sites.append((p1 + p2, q1 + q2))
-        return phase, tuple(sites)
-
-    ts = []
+    rows = []
     for k in range(m):
-        pre = [(-1, 1)] * k
-        ts.append((0, tuple(pre + [(1, 0)] + [(0, 0)] * (m - k - 1))))
-        ts.append((0, tuple(pre + [(0, 1)] + [(0, 0)] * (m - k - 1))))
+        pre, post = [(-1, 1)] * k, [(0, 0)] * (m - k - 1)
+        rows += [pre + [(1, 0)] + post, pre + [(0, 1)] + post]
     n = 2 * m
     table = [[0] * n for _ in range(n)]
     for j in range(n):
         for k in range(j + 1, n):
-            r = mul(ts[j], ts[k])[0] - mul(ts[k], ts[j])[0]
+            r = sum(p * q2 - q * p2 for (p, q), (p2, q2) in zip(rows[j], rows[k]))
             table[j][k] = r
             table[k][j] = -r
     return table

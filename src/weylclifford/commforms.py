@@ -320,12 +320,22 @@ def form_to_json(h: np.ndarray) -> dict:
     }
 
 
+def _json_entry(x) -> Fraction:
+    """A form entry read from JSON: a Fraction string, or a rational that is not a bool."""
+    if isinstance(x, bool) or not isinstance(x, (str, numbers.Rational)):
+        raise ValueError(f"entry {x!r} is neither a string nor an exact rational")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"entry {x!r} has a zero denominator") from None
+
+
 def form_from_json(obj: dict) -> np.ndarray:
-    n = int(obj["n"])
+    n = obj["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"a form needs an integer n >= 1, got {n!r}")
     rows = obj["entries"]
-    if n < 1:
-        raise ValueError("a form needs n >= 1")
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("entry grid does not match dimension")
-    parsed = np.frompyfunc(Fraction, 1, 1)(np.array(rows, dtype=object))
+    parsed = np.frompyfunc(_json_entry, 1, 1)(np.array(rows, dtype=object))
     return _fractions(*_scaled(parsed))

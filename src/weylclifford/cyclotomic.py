@@ -9,7 +9,8 @@ comparison and every nonzero element has an inverse.
 Every result is brought to that basis by one reduction, ``_reduce``:
 exponents are folded by zeta^m = 1, then the degrees >= d are cleared
 by synthetic division by the monic Phi_m, touching only its nonzero
-coefficients.  Nothing beyond Phi_m itself is kept per order.  Every
+coefficients.  Nothing beyond Phi_m itself is kept per order, and
+``_reduce`` is the module's only division with remainder.  Every
 monomial map -- multiplying by zeta^k (``times_root``, and so
 ``root_of_unity``), conjugation zeta -> zeta^{-1} and lifting
 zeta_m -> zeta_{km}^k -- is one scatter of the coordinates to their new
@@ -58,6 +59,8 @@ class OrderMismatchError(ValueError):
 class IntPolynomial:
     """Dense integer polynomial, coefficients in ascending degree.
 
+    The value type of ``cyclotomic_polynomial`` and of the formal
+    (lam=None) q-functions: a ring, with +, -, * and equality only.
     Trailing zero coefficients are stripped, so equal polynomials have
     equal coefficient tuples.  The zero polynomial has degree -1.
     """
@@ -123,32 +126,6 @@ class IntPolynomial:
         return IntPolynomial(_poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "IntPolynomial":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = IntPolynomial([1])
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __call__(self, x):
-        """Evaluate by Horner; x may be int, Fraction or CyclotomicNumber."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
-        """Divide exactly, raising ValueError on a nonzero remainder."""
-        if not isinstance(other, IntPolynomial) or not other:
-            raise ValueError("division by zero polynomial")
-        quo, rem = _poly_divmod(self.coeffs, other.coeffs)
-        if any(rem):
-            raise ValueError("inexact polynomial division")
-        if any(q.denominator != 1 for q in quo):
-            raise ValueError("non-integer quotient")
-        return IntPolynomial(quo)
 
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)!r})"
@@ -504,19 +481,3 @@ def _poly_mul(a, b):
                     out[i + j] += ai * bj
     return out
 
-
-def _poly_divmod(a, b):
-    """Quotient and remainder of dense rational coefficient lists."""
-    rem = [Fraction(c) for c in a]
-    dq = len(rem) - len(b)
-    if dq < 0:
-        return [], rem
-    quo = [Fraction(0)] * (dq + 1)
-    lead = Fraction(b[-1])
-    for i in range(dq, -1, -1):
-        c = rem[i + len(b) - 1] / lead
-        quo[i] = c
-        if c:
-            for j, bj in enumerate(b):
-                rem[i + j] -= c * bj
-    return quo, rem

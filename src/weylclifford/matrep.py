@@ -470,7 +470,12 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    dim = int(obj["dim"])
+    """Inverse of `matrix_to_json`; dim must be a whole number >= 1, else ValueError."""
+    dim = obj["dim"]
+    if isinstance(dim, float) and dim.is_integer():
+        dim = int(dim)
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"dim must be a whole number >= 1, got {dim!r}")
     entries = obj["entries"]
     if len(entries) != dim * dim:
         raise ValueError("matrix entry count does not match dimension")

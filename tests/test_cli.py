@@ -77,6 +77,40 @@ def test_gen_deterministic_bytes(tmp_path, capsys):
     assert a.read_bytes().endswith(b"\n")
 
 
+GEN_PAULI_N1 = (
+    '{"command":"gen","dim":2,"l":2,"matrices":[{"dim":2,"entries":'
+    '[[1.0,0.0],[0.0,0.0],[0.0,0.0],[-1.0,0.0]]}],"n":1,"report":'
+    '{"max_pair_deviation":0.0,"max_power_deviation":0.0,"pair_failures":[],'
+    '"passed":true,"power_failures":[],"tolerance":1e-10},"variant":"pauli",'
+    '"zeta":[-1.0,0.0]}\n'
+)
+
+
+def test_gen_json_bytes_pinned(capsys):
+    assert run_cli(["gen", "--n", "1", "--variant", "pauli"], capsys) == (0, GEN_PAULI_N1, "")
+
+
+def test_gen_json_bytes_hashed(capsys):
+    # sha256 over the matrices and the verdict of every tau and taw set
+    # with 2 <= l <= 5, n <= 4 and every pauli set with n <= 6; the
+    # deviation floats depend on the BLAS and are left out.  Signed zeros
+    # count: pauli's sigma_2 and tau's t_2 at l = 2 are equal in value but
+    # carry their -0.0 in different entries
+    cases = [
+        ["--n", str(n), "--l", str(l), "--variant", v]
+        for v in ("tau", "taw") for l in range(2, 6) for n in range(1, 5)
+    ] + [["--n", str(n), "--variant", "pauli"] for n in range(1, 7)]
+    digest = hashlib.sha256()
+    for args in cases:
+        rc, out, err = run_cli(["gen"] + args, capsys)
+        assert (rc, err) == (0, ""), args
+        obj = json.loads(out)
+        digest.update(json.dumps([obj["matrices"], obj["report"]["passed"]]).encode())
+    assert digest.hexdigest() == (
+        "3d41f1a665a2c1fc3f040105053682f0e92cbc958f3522bf5adf7aa5f59792a9"
+    )
+
+
 @pytest.mark.parametrize("target", ["missing/x.json", "."])
 def test_unwritable_out_is_usage_error(target, tmp_path, capsys):
     # a missing directory, and a path that is a directory
@@ -374,6 +408,15 @@ def test_equiv_missing_and_malformed_files(tmp_path, capsys):
     odd.write_text(json.dumps(dict(blob, l=3.0)))
     rc, out, _ = run_cli(["equiv", str(odd)], capsys)
     assert rc == 0 and json.loads(out)["l"] == 3
+    # so is a matrix dim, which must also be at least 1; 1e400 reads as inf
+    for dim in ("1e400", "2.5", "NaN", "0", "-3", "true", '"3"', "null"):
+        text = json.dumps(dict(blob, U=dict(blob["U"], dim="DIM")))
+        odd.write_text(text.replace('"DIM"', dim))
+        rc, _, err = run_cli(["equiv", str(odd)], capsys)
+        assert rc == 1 and "cannot read pair file" in err, dim
+        assert "Traceback" not in err and err.count("\n") == 1
+    odd.write_text(json.dumps(dict(blob, U=dict(blob["U"], dim=3.0))))
+    assert run_cli(["equiv", str(odd)], capsys)[0] == 0
     # pairs that cannot be standardized: U and V of different sizes, a
     # singular U, non-finite entries
     u2 = matrix_to_json(weyl_pair(2)[0])

@@ -287,6 +287,26 @@ def test_form_json_round_trip():
     for n in (0, -1):  # an empty grid
         with pytest.raises(ValueError):
             form_from_json({"n": n, "entries": []})
+    # only strings and exact rationals are entries, and n is an integer:
+    # a JSON float, an unparsable string, a zero denominator, null or a
+    # bool is refused before any arithmetic
+    for text in (
+        '{"n": 1, "entries": [[0.1]]}',
+        '{"n": 1, "entries": [[Infinity]]}',
+        '{"n": 1, "entries": [[NaN]]}',
+        '{"n": 1, "entries": [[1.0]]}',
+        '{"n": 1, "entries": [["1/0"]]}',
+        '{"n": 1, "entries": [["one"]]}',
+        '{"n": 1, "entries": [[null]]}',
+        '{"n": 1, "entries": [[true]]}',
+        '{"n": 1e400, "entries": [["0"]]}',
+        '{"n": 1.5, "entries": [["0"]]}',
+        '{"n": 1.0, "entries": [["0"]]}',
+        '{"n": true, "entries": [["0"]]}',
+        '{"n": "1", "entries": [["0"]]}',
+    ):
+        with pytest.raises(ValueError):
+            form_from_json(json.loads(text))
 
 
 def test_every_public_matrix_has_python_int_fractions():
