@@ -69,8 +69,6 @@ __all__ = [
     "to_matrix",
     "group_phase_table",
     "weak_from_group_phases",
-    "element_to_json",
-    "element_from_json",
 ]
 
 
@@ -443,34 +441,3 @@ def weak_from_group_phases(n: int, l: int, lam_power: int = 1):
         n, order, mode="weak", zeta_power=((lam_power % l) // g) % order
     )
     return [generator(sig, k) for k in range(1, n + 1)]
-
-
-def element_to_json(x: AlgebraElement) -> dict:
-    if x.signature.zeta_power != 1:
-        raise ValueError("only standard-phase elements serialize")
-    return {
-        "n": x.signature.n,
-        "l": x.signature.l,
-        "mode": x.signature.mode,
-        "terms": [
-            {"exp": list(e), "coeff": x.terms[e].to_json()}
-            for e in sorted(x.terms)
-        ],
-    }
-
-
-def element_from_json(obj: dict) -> AlgebraElement:
-    n, l, mode = int(obj["n"]), int(obj["l"]), str(obj["mode"])
-    terms = obj.get("terms", [])
-    if terms:
-        order = int(terms[0]["coeff"]["order"])
-        sig = AlgebraSignature(n, l, mode=mode, cyclotomic_order=order)
-    else:
-        sig = AlgebraSignature(n, l, mode=mode)
-    return AlgebraElement(
-        sig,
-        {
-            tuple(t["exp"]): CyclotomicNumber.from_json(t["coeff"])
-            for t in terms
-        },
-    )

@@ -55,7 +55,6 @@ __all__ = [
     "symplectic_transvection",
     "random_symplectic",
     "conjugate_to_N",
-    "exact_inverse",
     "form_to_json",
     "form_from_json",
 ]
@@ -80,10 +79,6 @@ def _rational(x) -> Fraction:
 def _fractions(a: np.ndarray, d: int = 1) -> np.ndarray:
     """The public Fraction array a/d of an integer array a: every public matrix ends here."""
     return np.frompyfunc(lambda x: Fraction(x, d), 1, 1)(a)
-
-
-def identity_matrix(n: int) -> np.ndarray:
-    return _fractions(np.identity(n, dtype=object))
 
 
 def _times_hc(a: np.ndarray) -> np.ndarray:
@@ -265,31 +260,6 @@ def random_symplectic(n: int, rng: random.Random) -> np.ndarray:
             v = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
             a, d = _transvect(a, d, v, Fraction(rng.randint(-2, 2)))
     return _fractions(a, d)
-
-
-def exact_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a square rational matrix by Gauss-Jordan elimination over Fraction."""
-    work = _fractions(*_scaled(a))
-    n = work.shape[0]
-    if work.shape[1] != n:
-        raise ValueError("matrix must be square")
-    inv = identity_matrix(n)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r, col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != col:
-            work[[col, piv]] = work[[piv, col]]
-            inv[[col, piv]] = inv[[piv, col]]
-        p = work[col, col]
-        work[col] = work[col] / p
-        inv[col] = inv[col] / p
-        for r in range(n):
-            if r != col and work[r, col] != 0:
-                f = work[r, col]
-                work[r] = work[r] - f * work[col]
-                inv[r] = inv[r] - f * inv[col]
-    return inv
 
 
 def _unit_lower_inverse(lmat: np.ndarray) -> np.ndarray:

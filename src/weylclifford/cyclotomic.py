@@ -3,8 +3,10 @@
 Elements live in the power basis 1, zeta, ..., zeta^{d-1} with
 d = deg Phi_m, reduced modulo the m-th cyclotomic polynomial Phi_m.
 Reducing modulo Phi_m rather than x^m - 1 keeps the representation
-canonical and the arithmetic a field: equality is coefficient
-comparison and every nonzero element has an inverse.
+canonical: equality is coefficient comparison.  Nothing divides in the
+field: the paper's identities at roots of unity need only sums,
+products and non-negative powers, so there is no inverse, no ``/`` and
+no negative power.
 
 Every result is brought to that basis by one reduction, ``_reduce``:
 exponents are folded by zeta^m = 1, then the degrees >= d are cleared
@@ -12,17 +14,9 @@ by synthetic division by the monic Phi_m, touching only its nonzero
 coefficients.  Nothing beyond Phi_m itself is kept per order, and
 ``_reduce`` is the module's only division with remainder.  Every
 monomial map -- multiplying by zeta^k (``times_root``, and so
-``root_of_unity``), conjugation zeta -> zeta^{-1} and lifting
-zeta_m -> zeta_{km}^k -- is one scatter of the coordinates to their new
-exponents followed by one ``_reduce``; none of them multiplies.
-
-The same exponent map with scale j coprime to m is the Galois
-automorphism sigma_j: zeta -> zeta^j, and the sigma_j make up the
-Galois group (Z/m)^x.  ``inverse`` uses them: the product of all
-sigma_j(a) is the rational norm N(a), so 1/a is the product of the
-sigma_j(a) with j != 1, divided by N(a).  Pairing j with -j, that
-product is conj(a) times the sigma_j(a * conj(a)), one j from each
-pair {j, -j} other than {1, -1}.
+``root_of_unity``) and lifting zeta_m -> zeta_{km}^k -- is one scatter
+of the coordinates to their new exponents followed by one ``_reduce``;
+none of them multiplies.
 
 Coefficients are exact rationals, stored as an integer numerator
 vector over a single positive denominator with gcd(numerators,
@@ -345,44 +339,12 @@ class CyclotomicNumber:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CyclotomicNumber":
-        """Field inverse x / N, x the product of the other Galois conjugates.
-
-        b = self * conj(self) is real, so the rational norm N = self * x
-        is b times the sigma_j(b), one j from each pair {j, -j} of units
-        other than {1, -1}; a rational b needs no sigma_j.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        m = self.order
-        x = self.conjugate()
-        b = self * x
-        if not b.is_rational():
-            for j in range(2, (m + 1) // 2):
-                if gcd(j, m) == 1:
-                    x = b._map_exponents(m, j) * x
-        n = self * x
-        return x * Fraction(n._den, n._num[0])
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        base = self
         if k < 0:
-            base = self.inverse()
-            k = -k
+            raise ValueError("powers are non-negative integers")
+        base = self
         out = CyclotomicNumber.one(self.order)
         while k:
             if k & 1:
@@ -398,10 +360,6 @@ class CyclotomicNumber:
     def times_root(self, k: int) -> "CyclotomicNumber":
         """self * zeta_m^k, by shifting every exponent by k."""
         return self._map_exponents(self.order, 1, k)
-
-    def conjugate(self) -> "CyclotomicNumber":
-        """Complex conjugate (the automorphism zeta -> zeta^{-1})."""
-        return self._map_exponents(self.order, -1)
 
     def lift(self, new_order: int) -> "CyclotomicNumber":
         """Embed into Q(zeta_{new_order}) via zeta_m = zeta_{new_order}^{new_order/m}."""
@@ -441,10 +399,6 @@ class CyclotomicNumber:
             "order": self.order,
             "coeffs": [str(Fraction(n, self._den)) for n in self._num],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CyclotomicNumber":
-        return cls(int(obj["order"]), [Fraction(s) for s in obj["coeffs"]])
 
     def __repr__(self):
         return f"CyclotomicNumber({self.order}, {[str(c) for c in self.coeffs]})"

@@ -17,8 +17,6 @@ from weylclifford.algebra import (
     AlgebraSignature,
     SignatureMismatchError,
     default_cyclotomic_order,
-    element_from_json,
-    element_to_json,
     generator,
     group_phase_table,
     identity,
@@ -543,30 +541,3 @@ def test_weak_from_group_phases_validation():
         weak_from_group_phases(3, 5)
     with pytest.raises(ValueError):
         weak_from_group_phases(2, 5, lam_power=5)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_element_json_round_trip():
-    rng = random.Random(31)
-    for mode in ("strict", "weak"):
-        sig = sig_for(3, 4, mode=mode)
-        x = random_element(sig, rng, terms=4)
-        obj = element_to_json(x)
-        assert obj["mode"] == mode
-        assert element_from_json(obj) == x
-
-
-def test_element_json_sorted_terms():
-    sig = sig_for(2, 3)
-    x = monomial(sig, (2, 1)) + monomial(sig, (0, 2)) + identity(sig)
-    exps = [t["exp"] for t in element_to_json(x)["terms"]]
-    assert exps == sorted(exps)
-
-
-def test_nonstandard_phase_refuses_to_serialize():
-    sig = sig_for(2, 5, zeta_power=2)
-    with pytest.raises(ValueError):
-        element_to_json(generator(sig, 1))

@@ -156,49 +156,33 @@ def test_field_axioms(order, seed):
     assert x * y == y * x
 
 
-@given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=2**32))
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=2**32),
+)
 @settings(max_examples=40, deadline=None)
-def test_inverse_round_trip(order, seed):
+def test_inverse_round_trip(order, k, seed):
+    # nothing divides in the field: a power of a dense element is its
+    # k-fold product, and /, 1/x and negative powers are refused
     x = _sample(order, seed)
     y = _sample(order, seed + 1)
-    if x.is_zero() or y.is_zero():
-        return
-    assert x * x.inverse() == CyclotomicNumber.one(order)
-    assert x / y * y == x
-    assert x ** -3 == (x ** 3).inverse()
-
-
-DENSE_INVERSES = """
-import random
-from weylclifford.sampling import sample_cyclotomic
-for m in (128, 210, 256):
-    x = sample_cyclotomic(random.Random(m), m)
-    assert x * x.inverse() == 1
-    print(m)
-"""
-
-
-def test_dense_inverses_at_large_orders_run_quickly():
-    # dense elements of degree 64, 48 and 128; a fresh interpreter with
-    # a timeout makes a slow inverse fail instead of hang
-    src = str(Path(weylclifford.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", DENSE_INVERSES],
-        capture_output=True, text=True, env=env, check=True, timeout=30,
-    ).stdout.split()
-    assert out == ["128", "210", "256"]
-
-
-def test_invert_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        CyclotomicNumber.zero(5).inverse()
+    product = CyclotomicNumber.one(order)
+    for _ in range(k):
+        product = product * x
+    assert x ** k == product
+    with pytest.raises(TypeError):
+        x / y
+    with pytest.raises(TypeError):
+        1 / x
+    with pytest.raises(ValueError, match="non-negative"):
+        x ** -1
 
 
 def test_root_inverse_is_complementary_power():
     for l in (3, 4, 7, 9):
         for k in range(1, l):
-            assert root_of_unity(l, k).inverse() == root_of_unity(l, l - k)
+            assert root_of_unity(l, k) * root_of_unity(l, l - k) == 1
 
 
 def test_large_order_roots_have_no_recursion_limit():
@@ -206,7 +190,7 @@ def test_large_order_roots_have_no_recursion_limit():
     m = 2000
     assert root_of_unity(m, m - 1) * root_of_unity(m, 1) == 1
     for k in (1, 7, 999):
-        assert root_of_unity(m, k).inverse() == root_of_unity(m, m - k)
+        assert root_of_unity(m, k) * root_of_unity(m, m - k) == 1
 
 
 RETAINED_AT_2000 = """
@@ -319,7 +303,6 @@ def _monomial_sum(order, terms):
 def test_conjugate_and_lift_match_monomial_sums(m, j, pairs):
     x = _element(m, pairs)
     coords = list(enumerate(x.coeffs))
-    assert x.conjugate() == _monomial_sum(m, [(-e, c) for e, c in coords])
     assert x.lift(j * m) == _monomial_sum(j * m, [(j * e, c) for e, c in coords])
 
 
@@ -372,15 +355,9 @@ def test_to_complex_is_multiplicative(order, seed):
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
-def test_conjugate_matches_complex_conjugate():
-    for m in (5, 8, 12):
-        x = _sample(m, m * 101)
-        assert abs(x.conjugate().to_complex() - x.to_complex().conjugate()) < 1e-12
-
-
 def test_json_round_trip():
     x = _sample(12, 99)
-    again = CyclotomicNumber.from_json(x.to_json())
-    assert again == x
-    assert x.to_json()["order"] == 12
-    assert all(isinstance(s, str) for s in x.to_json()["coeffs"])
+    obj = x.to_json()
+    assert obj["order"] == 12
+    assert all(isinstance(s, str) for s in obj["coeffs"])
+    assert CyclotomicNumber(obj["order"], [Fraction(s) for s in obj["coeffs"]]) == x

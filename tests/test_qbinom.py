@@ -251,13 +251,15 @@ def test_q_pascal_recurrence_in_the_field():
 
 def test_q_binomial_field_quotient_where_invertible():
     # at orders l + 1 and 2l no [j]_lam with j <= l vanishes, so the value
-    # is also the quotient of q-factorials divided in Q(zeta_m)
+    # is also the quotient of q-factorials in Q(zeta_m): a field, where a
+    # nonzero denominator fixes the quotient by the product identity
     for l in range(1, 9):
         for order in (l + 1, 2 * l):
             lam = root_of_unity(order)
             for k in range(l + 1):
                 den = q_factorial(k, lam) * q_factorial(l - k, lam)
-                assert q_binomial(l, k, lam) == q_factorial(l, lam) / den
+                assert not den.is_zero()
+                assert q_binomial(l, k, lam) * den == q_factorial(l, lam)
 
 
 def test_non_cyclotomic_lam_is_rejected():
@@ -279,6 +281,20 @@ def test_q_binomial_matches_formal_quotient_evaluated():
             for order in range(1, 2 * l + 2):
                 lam = root_of_unity(order)
                 assert q_binomial(l, k, lam) == horner(formal, lam), (l, k, order)
+
+
+def test_signed_roots_match_formal_evaluation():
+    # lam = -zeta_m^s at odd m is no power of zeta_m, so q_binomial and
+    # r_poly evaluate through the signed root branch, lam^i = (-1)^i zeta^(s i)
+    for m in range(1, 10, 2):
+        for s in range(m):
+            lam = -root_of_unity(m, s)
+            assert _root_exponent(lam) == (s, -1)
+            for l in range(9):
+                for k in range(l + 1):
+                    case = (m, s, l, k)
+                    assert q_binomial(l, k, lam) == horner(q_binomial(l, k), lam), case
+                    assert r_poly(k, l, lam) == horner(r_poly(k, l), lam), case
 
 
 def test_q_binomial_edge_columns_need_no_row():
