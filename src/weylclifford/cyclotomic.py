@@ -53,10 +53,10 @@ class OrderMismatchError(ValueError):
 class IntPolynomial:
     """Dense integer polynomial, coefficients in ascending degree.
 
-    The value type of ``cyclotomic_polynomial`` and of the formal
-    (lam=None) q-functions: a ring, with +, -, * and equality only.
-    Trailing zero coefficients are stripped, so equal polynomials have
-    equal coefficient tuples.  The zero polynomial has degree -1.
+    The value type of ``cyclotomic_polynomial`` and of the formal q-functions,
+    which build it from integer lists: only the tests use its +, -, *, as
+    their product oracle.  Trailing zeros are stripped, so equal polynomials
+    have equal coefficient tuples, and the zero polynomial has degree -1.
     """
 
     __slots__ = ("coeffs",)

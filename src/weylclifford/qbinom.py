@@ -17,33 +17,31 @@ relates to them by
 which is checked exactly in the tests (the lam power collapses to 1 in
 the vanishing middle range and whenever lam^{l(l-1)/2} = 1).
 
-q-integers and q-factorials are sums and products of powers of lam,
-run in lam's ring: Z[lam] (IntPolynomial) for a formal lam=None,
-Q(zeta_m) (CyclotomicNumber) for an exact lam.  The r-row (built factor
-by factor) and [l k]_lam (the q-Pascal rule) run on lists c of
-integers, standing for sum_i c[i] lam^i in Z[x]/(x^size - 1), where
-multiplying by lam^b is a rotation of the list by b; lam enters once,
-at the end.  At a root of unity lam = +-zeta_m^s, of order M (at odd m,
--zeta_m^s has twice the order of zeta_m^s), size = M and each list goes
-to Q(zeta_m) by one scatter to the exponents s*i mod m, signed (-1)^i
-for -zeta_m^s at odd m, and one reduction; there q-Lucas first cuts
-[l k] to
+The q-integers, q-factorials, r-row (built factor by factor) and
+[l k]_lam (the q-Pascal rule) all run on lists c of integers, standing
+for sum_i c[i] lam^i in Z[x]/(x^size - 1): multiplying by lam^b rotates
+the list by b, and multiplying by [j]_lam is a cyclic window sum.  lam
+enters once, at the end.  At a root of unity lam = +-zeta_m^s, of order
+M, size = M and each list goes to Q(zeta_m) by one scatter to the
+exponents s*i mod m, signed (-1)^i for -zeta_m^s at odd m, and one
+reduction; there q-Lucas first cuts [l k] to
 
     [l k]_lam = C(l // M, k // M) [l mod M, k mod M]_lam,
 
 0 when k mod M > l mod M, so lam = 1 gives C(l, k) at once.  For
 lam=None the size is one above the formal degree, so the list is the
-polynomial in lam, and any other lam (1 + zeta, a rational) evaluates
-these polynomials against one table of powers of lam.  None of these
-divides, so a lam that makes some [j]_lam vanish needs no special
-case, and nothing is cached.
+polynomial in lam (an IntPolynomial), and any other lam (1 + zeta, a
+rational) evaluates these polynomials against one table of powers of
+lam.  None of these divides, so a lam that makes some [j]_lam vanish
+needs no special case, and nothing is cached.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from math import comb, gcd, lcm
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
 from . import algebra
 from .cyclotomic import (
@@ -64,15 +62,6 @@ __all__ = [
 ]
 
 
-def _ring(lam):
-    """The variable and the one of lam's ring: Z[lam] for None, else Q(zeta_m)."""
-    if lam is None:
-        return IntPolynomial([0, 1]), IntPolynomial([1])
-    if not isinstance(lam, CyclotomicNumber):
-        raise TypeError("lam must be a CyclotomicNumber (or None for formal)")
-    return lam, CyclotomicNumber.one(lam.order)
-
-
 def _root_exponent(lam):
     """(s, sign) with lam = sign * zeta_m^s (m = lam.order), else None.
 
@@ -80,9 +69,10 @@ def _root_exponent(lam):
     d = phi(m) with r <= s < r + d, so at most ceil(m/d) shifts by
     zeta^-r look for a single coordinate +-1.  -zeta^t is zeta^(t + m/2)
     at even m, so sign = -1 only at odd m.  Exact, no floats; None for
-    lam = None.
+    lam = None, and a TypeError for a lam that is not cyclotomic.
     """
-    _ring(lam)  # the TypeError for a lam that is not cyclotomic
+    if lam is not None and not isinstance(lam, CyclotomicNumber):
+        raise TypeError("lam must be a CyclotomicNumber (or None for formal)")
     if lam is None or lam._den != 1:
         return None
     m = lam.order
@@ -106,13 +96,12 @@ def _root_order(m, s, sign):
 
 
 def _values(lists, lam, root):
-    """[sum_i c[i] lam^i for c in lists] in lam's ring.
+    """[sum_i c[i] lam^i for c in lists]: the one exit of the integer lists.
 
-    IntPolynomials for lam=None.  At lam = sign * zeta_m^s, one scatter
-    of each list to the exponents s*i mod m, with the sign (-1)^i for
-    sign = -1, and one reduction.  At any other lam, one table of powers
-    of lam over a common denominator, against which each list is an
-    integer combination of coordinates.
+    IntPolynomials for lam=None.  At lam = sign * zeta_m^s, a scatter of
+    each list to the exponents s*i mod m, signed (-1)^i for sign = -1, and
+    one reduction.  At any other lam, integer combinations of the
+    coordinates of one table of powers of lam over a common denominator.
     """
     if lam is None:
         return [IntPolynomial(c) for c in lists]
@@ -169,25 +158,35 @@ def r_poly(k: int, l: int, lam=None):
 
 def q_int(k: int, lam=None):
     """[k]_lam = 1 + lam + ... + lam^{k-1}."""
-    if k < 0:
+    if index(k) < 0:  # index: a TypeError for a k that is not an integer
         raise ValueError("q-integers need k >= 0")
-    x, one = _ring(lam)
-    out, power = one - one, one
-    for _ in range(k):
-        out, power = out + power, power * x
-    return out
+    root = _root_exponent(lam)
+    size = max(k, 1) if root is None else _root_order(lam.order, *root)
+    q, r = divmod(k, size)  # entry i counts the e < k with e = i mod size
+    return _values([[q + (i < r) for i in range(size)]], lam, root)[0]
 
 
 def q_factorial(k: int, lam=None):
-    """[k]_lam! = prod_{j=1}^{k} [j]_lam."""
-    if k < 0:
+    """[k]_lam! = prod_{j=1}^{k} [j]_lam.
+
+    Multiplying a list c by [j] sums the j entries c[i-j+1..i] at each
+    i, cyclically: (j // size) sum(c) plus a window of j % size entries,
+    a difference of two prefix sums.  size is 1 + k(k-1)/2 if lam is
+    formal, else lam's order N, and [k]_lam! = 0 for k >= N > 1.
+    """
+    if index(k) < 0:  # index: a TypeError for a k that is not an integer
         raise ValueError("q-factorials need k >= 0")
-    x, one = _ring(lam)
-    out, qj, power = one, one - one, one
-    for _ in range(k):
-        qj, power = qj + power, power * x
-        out = out * qj
-    return out
+    root = _root_exponent(lam)
+    size = k * (k - 1) // 2 + 1 if root is None else _root_order(lam.order, *root)
+    if root is not None and 1 < size <= k:  # the factor [size]_lam is 0
+        return _values([[]], lam, root)[0]
+    c = [1] + [0] * (size - 1)
+    for j in range(2, k + 1):
+        q, r = divmod(j, size)
+        pre = list(accumulate(c + c, initial=0))
+        total = q * pre[size]
+        c = [total + b - a for a, b in zip(pre[size + 1 - r :], pre[size + 1 :])]
+    return _values([c], lam, root)[0]
 
 
 def q_binomial(l: int, k: int, lam=None):

@@ -108,6 +108,28 @@ def q_pascal_in_field(l, k, lam):
     return col[j]
 
 
+def q_int_in_field(k, lam):
+    """Independent oracle: [k]_lam = 1 + lam + ... + lam^(k-1) summed in
+    Q(zeta_m) with CyclotomicNumber operations."""
+    one = CyclotomicNumber.one(lam.order)
+    out, power = one - one, one
+    for _ in range(k):
+        out, power = out + power, power * lam
+    return out
+
+
+def q_factorial_in_field(k, lam):
+    """Independent oracle: [k]_lam! = prod_{j<=k} [j]_lam with CyclotomicNumber
+    sums and products, the field recurrence the integer-list q_factorial
+    replaced."""
+    one = CyclotomicNumber.one(lam.order)
+    out, qj, power = one, one - one, one
+    for _ in range(k):
+        qj, power = qj + power, power * lam
+        out = out * qj
+    return out
+
+
 @st.composite
 def root_and_entry(draw):
     """(lam, l, k): lam = zeta_m^s or -zeta_m^s, the latter zeta_m^(s + m/2)
@@ -268,6 +290,11 @@ def test_non_cyclotomic_lam_is_rejected():
             f()
     with pytest.raises(TypeError):
         r_poly(1, 2, 1)
+    # so is a float k, on each of the formal, root and other-lam paths
+    for lam in (None, root_of_unity(3), root_of_unity(5) + 1):
+        for f in (q_int, q_factorial):
+            with pytest.raises(TypeError):
+                f(2.0, lam)
 
 
 def test_q_binomial_matches_formal_quotient_evaluated():
@@ -284,8 +311,9 @@ def test_q_binomial_matches_formal_quotient_evaluated():
 
 
 def test_signed_roots_match_formal_evaluation():
-    # lam = -zeta_m^s at odd m is no power of zeta_m, so q_binomial and
-    # r_poly evaluate through the signed root branch, lam^i = (-1)^i zeta^(s i)
+    # lam = -zeta_m^s at odd m is no power of zeta_m, so q_binomial, r_poly,
+    # q_int and q_factorial evaluate through the signed root branch,
+    # lam^i = (-1)^i zeta^(s i)
     for m in range(1, 10, 2):
         for s in range(m):
             lam = -root_of_unity(m, s)
@@ -295,6 +323,29 @@ def test_signed_roots_match_formal_evaluation():
                     case = (m, s, l, k)
                     assert q_binomial(l, k, lam) == horner(q_binomial(l, k), lam), case
                     assert r_poly(k, l, lam) == horner(r_poly(k, l), lam), case
+                assert q_int(l, lam) == horner(q_int(l), lam), (m, s, l)
+                assert q_factorial(l, lam) == horner(q_factorial(l), lam), (m, s, l)
+
+
+def test_q_factorial_vanishes_from_the_order_of_lam():
+    # at lam = +-zeta_m^s of order N > 1, [N]_lam = 0 is a factor of [k]_lam!
+    # for k >= N, while the [j]_lam with j < N are nonzero in a field; at
+    # lam = 1 (N = 1) the q-factorial is k!
+    for m in range(1, 16):
+        for s in range(m):
+            for sign in (1, -1):
+                lam = root_of_unity(m, s) * sign
+                one, power, order = CyclotomicNumber.one(m), lam, 1
+                while power != one:
+                    power, order = power * lam, order + 1
+                for k in range(order + 2):
+                    value = q_factorial(k, lam)
+                    if order == 1:
+                        assert value == math.factorial(k), (m, s, sign, k)
+                    else:
+                        assert value.is_zero() == (k >= order), (m, s, sign, k)
+                if order > 1:
+                    assert q_int(order, lam).is_zero(), (m, s, sign)
 
 
 def test_q_binomial_edge_columns_need_no_row():
@@ -411,6 +462,8 @@ def test_integer_lists_match_field_recurrences(entry):
     lam, l, k = entry
     assert q_binomial(l, k, lam) == q_pascal_in_field(l, k, lam), (lam, l, k)
     assert r_poly(k, l, lam) == root_product_in_field(l, lam)[k], (lam, l, k)
+    assert q_int(k, lam) == q_int_in_field(k, lam), (lam, k)
+    assert q_factorial(l, lam) == q_factorial_in_field(l, lam), (lam, l)
 
 
 def test_root_exponent_recovers_every_root():
@@ -457,3 +510,26 @@ def test_large_entries_near_the_cap_are_quick():
     value = json.loads(out)["value"]
     assert value == {"order": 512, "coeffs": ["0"] * 256}
 
+
+LARGE_QFACTORIAL = """
+import math
+from weylclifford.cyclotomic import root_of_unity
+from weylclifford.qbinom import q_binomial, q_factorial
+formal = q_factorial(150)
+assert formal.degree == 150 * 149 // 2 and sum(formal.coeffs) == math.factorial(150)
+zeta = root_of_unity(257)
+half = q_factorial(128, zeta)
+assert q_binomial(256, 128, zeta) * half * half == q_factorial(256, zeta)
+"""
+
+
+def test_large_q_factorials_are_quick():
+    # a formal [150]! has 11,176 coefficients and [256]! at zeta_257 is a
+    # product of 255 nonzero factors; each multiplication by [j] is a
+    # window sum on an integer list
+    src = str(Path(weylclifford.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run(
+        [sys.executable, "-c", LARGE_QFACTORIAL],
+        capture_output=True, text=True, env=env, check=True, timeout=6,
+    )
