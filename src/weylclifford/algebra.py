@@ -67,7 +67,6 @@ __all__ = [
     "lame_check",
     "is_central",
     "to_matrix",
-    "group_phase_table",
     "weak_from_group_phases",
 ]
 
@@ -387,44 +386,17 @@ def to_matrix(x: AlgebraElement, matrices):
     return out
 
 
-def group_phase_table(m: int):
-    """Pairwise commutation exponents of the string construction.
-
-    From m commuting shift/clock pairs u_k, v_k with u_k v_k =
-    e^{i lam} v_k u_k and distinct sites commuting, build
-
-        t_{2k-1} = u_k * prod_{j<k} (u_j^{-1} v_j),
-        t_{2k}   = v_k * prod_{j<k} (u_j^{-1} v_j).
-
-    Entry [j][k] is the exponent r with t_j t_k = e^{i lam r} t_k t_j,
-    tracked exactly in units of lam; the construction makes every
-    upper-triangular entry equal 1.  With t_j = prod_s u_s^{p_s} v_s^{q_s},
-    r is the symplectic product sum_s (p_s q'_s - q_s p'_s) of the
-    exponent rows of t_j and t_k = prod_s u_s^{p'_s} v_s^{q'_s}.
-    Per-site step parameters a_k with partner steps lam/a_k would cancel
-    out of every phase, so none are taken.
-    """
-    rows = []
-    for k in range(m):
-        pre, post = [(-1, 1)] * k, [(0, 0)] * (m - k - 1)
-        rows += [pre + [(1, 0)] + post, pre + [(0, 1)] + post]
-    n = 2 * m
-    table = [[0] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(j + 1, n):
-            r = sum(p * q2 - q * p2 for (p, q), (p2, q2) in zip(rows[j], rows[k]))
-            table[j][k] = r
-            table[k][j] = -r
-    return table
-
-
 def weak_from_group_phases(n: int, l: int, lam_power: int = 1):
     """Weak-mode generators built from commuting group phases.
 
-    The phase angle is lam = 2*pi*lam_power/l, so e^{i lam} is a root
-    of unity of order l / gcd(lam_power, l); the returned generators
-    live in the weak algebra of that order with the matching structure
-    phase, checked against `group_phase_table(n // 2)`.
+    From n/2 commuting pairs with u_k v_k = e^{i lam} v_k u_k, the string
+    construction t_{2k-1} = u_k s_k, t_{2k} = v_k s_k, with s_k =
+    prod_{j<k} u_j^{-1} v_j, has the exponent rows of L', so t_j t_k =
+    e^{i lam} t_k t_j for every j < k by L' h_c L'^T = h+- (`commforms`,
+    acceptance criterion 07).  The phase angle is lam =
+    2*pi*lam_power/l, so e^{i lam} is a root of unity of order
+    l / gcd(lam_power, l); the returned generators live in the weak
+    algebra of that order with the matching structure phase.
     """
     if n < 2 or n % 2:
         raise ValueError("n must be a positive even count of generators")
@@ -432,11 +404,6 @@ def weak_from_group_phases(n: int, l: int, lam_power: int = 1):
     order = l // g
     if order < 2:
         raise ValueError("phase 2*pi*lam_power/l is trivial; no relation left")
-    table = group_phase_table(n // 2)
-    for j in range(n):
-        for k in range(j + 1, n):
-            if table[j][k] != 1:
-                raise ArithmeticError("string construction lost the uniform phase")
     sig = AlgebraSignature(
         n, order, mode="weak", zeta_power=((lam_power % l) // g) % order
     )

@@ -11,7 +11,11 @@ The unit-lower-triangular matrices L and L' both carry h_c onto h+-:
     L  h_c L^T  = h+-,      L' h_c L'^T = h+-,
 
 with pair-block row patterns (0 1 0 1 ... | 1 0) / (0 1 0 1 ... | 1 1)
-for L and (-1 1 -1 1 ... | 1 0) / (-1 1 -1 1 ... | 0 1) for L'.
+for L and (-1 1 -1 1 ... | 1 0) / (-1 1 -1 1 ... | 0 1) for L'.  Read
+in pairs, row k lists the site exponents (a, b) of U^a V^b, slot by
+slot, of the k-th generator of the string construction: the dense
+tensor sets of `matrep` read these rows (`_L`, `_LPRIME`) and state the
+slot layout nowhere else, so L h_c L^T = h+- is their exchange relation.
 
 Transformations preserving h_c are symplectic; conjugation S -> L S L^-1
 carries the symplectic group isomorphically onto the group preserving

@@ -17,7 +17,9 @@ tau triple is exactly (sigma_1, sigma_2, sigma_3).
 Tensor constructions chain diagonal strings through earlier slots
 (tau_3 strings for the tau variant, U^dag V strings with compensating
 scalar alpha_k = zeta^{-(k-1)(l-1)/2} for the taw variant) so that any
-two generators of different slots pick up exactly one zeta.
+two generators of different slots pick up exactly one zeta.  Which
+U^a V^b goes in which slot is read from the rows of L (tau, and the
+Pauli set) and L' (taw) in `commforms`, the one statement of it.
 
 Phases that involve half-angles (nu, alpha_k) are computed exactly in
 Q(zeta_2l) and converted to complex once, not assembled from floating
@@ -31,6 +33,7 @@ from functools import reduce
 
 import numpy as np
 
+from .commforms import _L, _LPRIME, _pair_blocks
 from .cyclotomic import root_of_unity
 
 __all__ = [
@@ -181,15 +184,28 @@ def conjugated_triple(l: int, m: np.ndarray):
     Returns (M^-1 U M, M^-1 V M, nu M^-1 U^dag V M); the third member
     is nu times the product of the inverse of the first with the second.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("M must be square")
-    try:
-        minv = np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("M must be invertible") from exc
-    t1, t2, t3 = tau_triple(l, "taw")
-    return minv @ t1 @ m, minv @ t2 @ m, minv @ t3 @ m
+    taw = GeneratorSet(tau_triple(l, "taw"), l, _zeta(l))
+    return conjugate_generators(taw, m).matrices
+
+
+def _string_generators(n_gens: int, rows, factors: dict, diag, scales=None):
+    """Generators read from the site-exponent rows of L or L' (`commforms`).
+
+    Row r holds the exponents (a, b) of U^a V^b in each tensor slot, and
+    generator r is the Kronecker product over the slots of
+    factors[(a, b)], (0, 0) being the identity; with `scales`, pair k's
+    two generators carry scales[k].  An odd count appends `diag` in
+    every slot.
+    """
+    pairs, slots = n_gens // 2, (n_gens + 1) // 2
+    factors = {(0, 0): np.eye(len(diag), dtype=complex), **factors}
+    mats = []
+    for r, row in enumerate(_pair_blocks(2 * slots, *rows)[:2 * pairs]):
+        mat = _kron_all([factors[a, b] for a, b in zip(row[0::2], row[1::2])])
+        mats.append(mat if scales is None else scales[r // 2] * mat)
+    if n_gens % 2:
+        mats.append(_kron_all([diag] * slots))
+    return tuple(mats)
 
 
 def clifford_generators(n: int, include_odd: bool = False) -> GeneratorSet:
@@ -198,29 +214,23 @@ def clifford_generators(n: int, include_odd: bool = False) -> GeneratorSet:
     e_{2k-1} = sigma_3^(k-1 factors) x sigma_1 x 1...,
     e_{2k}   = sigma_3^(k-1 factors) x sigma_2 x 1...,
     and the odd extension appends e_{2n+1} = sigma_3^(n+1 factors) with
-    every generator embedded at dimension 2^(n+1).
+    every generator embedded at dimension 2^(n+1): the rows of L, as
+    for the tau variant of `t_generators`.
     """
     if n < 0 or (n == 0 and not include_odd):
         raise ValueError("need at least one generator")
-    slots = n + 1 if include_odd else n
     s1, s2, s3 = pauli(1), pauli(2), pauli(3)
-    eye = np.eye(2, dtype=complex)
-    mats = []
-    for k in range(1, n + 1):
-        pre = [s3] * (k - 1)
-        post = [eye] * (slots - k)
-        mats.append(_kron_all(pre + [s1] + post))
-        mats.append(_kron_all(pre + [s2] + post))
-    if include_odd:
-        mats.append(_kron_all([s3] * slots))
-    return GeneratorSet(tuple(mats), 2, -1.0 + 0j, "pauli-clifford")
+    factors = {(1, 0): s1, (1, 1): s2, (0, 1): s3}
+    mats = _string_generators(2 * n + include_odd, _L, factors, s3)
+    return GeneratorSet(mats, 2, -1.0 + 0j, "pauli-clifford")
 
 
 def t_generators(n_gens: int, l: int, variant: str = "tau") -> GeneratorSet:
     """n_gens generators of T(n_gens, l) at dimension l^ceil(n_gens/2).
 
-    Even counts pair up into ceil(n/2) tensor slots; an odd count adds
-    the all-diagonal generator (tau_3 or nu U^dag V in every slot).
+    Even counts pair up into ceil(n/2) tensor slots along the rows of L
+    (tau) or L' (taw); an odd count adds the all-diagonal generator
+    (tau_3 or nu U^dag V in every slot).
     """
     if n_gens < 1:
         raise ValueError("need at least one generator")
@@ -228,32 +238,23 @@ def t_generators(n_gens: int, l: int, variant: str = "tau") -> GeneratorSet:
         raise ValueError("order l must be at least 2")
     if variant not in ("tau", "taw"):
         raise ValueError("variant must be 'tau' or 'taw'")
-    slots = (n_gens + 1) // 2
     pairs = n_gens // 2
-    eye = np.eye(l, dtype=complex)
     if variant == "tau":
         site1, site2, string = tau_triple(l, "tau")
-        diag = string  # tau_3
-        scalars = [1.0 + 0j] * (pairs + 1)
+        factors = {(1, 0): site1, (1, 1): site2, (0, 1): string}
+        # the unit scale sets the sign of zeros that the pinned gen bytes carry
+        mats = _string_generators(n_gens, _L, factors, string, [1.0 + 0j] * pairs)
     else:
         u, v = weyl_pair(l)
-        site1, site2 = u, v
         string = u.conj().T @ v
-        diag = _nu(l) * string
         # alpha_k = zeta^{-(k-1)(l-1)/2} = zeta_{2l}^{-(k-1)(l-1)}, exact
-        scalars = [
+        alphas = [
             complex(root_of_unity(2 * l, -(k - 1) * (l - 1)).to_complex())
-            for k in range(1, pairs + 2)
+            for k in range(1, pairs + 1)
         ]
-    mats = []
-    for k in range(1, pairs + 1):
-        pre = [string] * (k - 1)
-        post = [eye] * (slots - k)
-        mats.append(scalars[k - 1] * _kron_all(pre + [site1] + post))
-        mats.append(scalars[k - 1] * _kron_all(pre + [site2] + post))
-    if n_gens % 2:
-        mats.append(_kron_all([diag] * slots))
-    return GeneratorSet(tuple(mats), l, _zeta(l), variant)
+        factors = {(1, 0): u, (0, 1): v, (-1, 1): string}
+        mats = _string_generators(n_gens, _LPRIME, factors, _nu(l) * string, alphas)
+    return GeneratorSet(mats, l, _zeta(l), variant)
 
 
 def extract_tau_site(gens: GeneratorSet, i: int, k: int) -> np.ndarray:
@@ -404,6 +405,8 @@ def reducible_pair_permutation(l: int, m: int) -> np.ndarray:
 def conjugate_generators(gens: GeneratorSet, m: np.ndarray) -> GeneratorSet:
     """Transport every generator through an invertible M."""
     m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("M must be square")
     try:
         minv = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:

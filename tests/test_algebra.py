@@ -18,7 +18,6 @@ from weylclifford.algebra import (
     SignatureMismatchError,
     default_cyclotomic_order,
     generator,
-    group_phase_table,
     identity,
     is_central,
     lame_check,
@@ -497,16 +496,6 @@ def test_to_matrix_rejects_weak_and_mismatched():
 # ---------------------------------------------------------------------------
 # group-phase construction of the weak algebra
 # ---------------------------------------------------------------------------
-
-def test_group_phase_table_is_uniform():
-    for m in (1, 2, 3):
-        table = group_phase_table(m)
-        n = 2 * m
-        for j in range(n):
-            for k in range(n):
-                expected = 0 if j == k else (1 if j < k else -1)
-                assert table[j][k] == expected
-
 
 def test_weak_from_group_phases_relations():
     for n, l in ((2, 5), (4, 5), (4, 6)):

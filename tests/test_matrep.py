@@ -1,10 +1,13 @@
+import hashlib
 import json
+from functools import reduce
 from itertools import product
 
 import numpy as np
 import pytest
 
 from conftest import random_unitary
+from weylclifford.commforms import clifford_form, matrix_L, matrix_Lprime
 from weylclifford.matrep import (
     GeneratorSet,
     ReducibleRepresentationError,
@@ -229,6 +232,51 @@ def test_l2_degeneration_matches_clifford():
         assert g.dim == c.dim
         for a, b in zip(g.matrices, c.matrices):
             assert np.allclose(a, b, atol=1e-14)
+
+
+def test_dense_sets_follow_the_integer_rows():
+    # generator k is a unit scalar times the tensor product over the
+    # slots of U^a V^b, (a, b) read from row k of L (tau, Pauli) or L'
+    # (taw); the rows' symplectic products are the exchange exponents,
+    # which the relations fix at 1 for every j < k
+    cases = [
+        (t_generators(n, l, variant), l, rows(n))
+        for l in (2, 3, 4, 5)
+        for n in (2, 4, 6)
+        for variant, rows in (("tau", matrix_L), ("taw", matrix_Lprime))
+    ] + [(clifford_generators(n // 2), 2, matrix_L(n)) for n in (2, 4, 6)]
+    for gens, l, lmat in cases:
+        rows = np.array(lmat, dtype=int)
+        a, b = rows[:, 0::2], rows[:, 1::2]
+        h_pm = np.array(clifford_form(len(rows)), dtype=int)
+        assert np.array_equal(a @ b.T - b @ a.T, h_pm)
+        u, v = weyl_pair(l)
+        for t, row_a, row_b in zip(gens.matrices, a, b):
+            want = reduce(np.kron, [
+                np.linalg.matrix_power(u, x % l) @ np.linalg.matrix_power(v, y % l)
+                for x, y in zip(row_a, row_b)
+            ])
+            k = int(np.argmax(np.abs(want)))
+            c = t.flat[k] / want.flat[k]
+            assert abs(abs(c) - 1) <= 1e-12
+            assert np.linalg.norm(t - c * want) <= 1e-12, (l, len(rows))
+
+
+def test_multi_slot_json_bytes_hashed():
+    # sha256 over matrix_to_json of the 3- to 5-slot sets, whose strings
+    # run through several earlier slots; signed zeros count
+    sets = [
+        t_generators(n, l, variant)
+        for variant in ("tau", "taw")
+        for l, ns in ((2, range(5, 9)), (3, range(5, 9)), (4, (5, 6)))
+        for n in ns
+    ] + [clifford_generators(n // 2, bool(n % 2)) for n in range(7, 10)]
+    digest = hashlib.sha256()
+    for gens in sets:
+        digest.update(json.dumps([matrix_to_json(m) for m in gens.matrices]).encode())
+    assert digest.hexdigest() == (
+        "85c7e0c4b16a28572733229c44856b885e8c6f78134ccf11c2d2ab6df40ab681"
+    )
 
 
 def test_odd_generator_is_diagonal():
@@ -480,8 +528,9 @@ def test_conjugate_generators():
     for m in (random_unitary(3, rng), rng.normal(size=(3, 3)) + 2 * np.eye(3)):
         moved = conjugate_generators(g, m)
         assert verify_relations(moved, tol=1e-8).passed
-    with pytest.raises(ValueError):
-        conjugate_generators(g, np.zeros((3, 3)))
+    for bad in (np.zeros((3, 3)), np.ones((2, 3)), np.stack([np.eye(3)] * 2)):
+        with pytest.raises(ValueError):
+            conjugate_generators(g, bad)
 
 
 def test_verify_relations_report():
