@@ -24,10 +24,19 @@ Pauli set) and L' (taw) in `commforms`, the one statement of it.
 Phases that involve half-angles (nu, alpha_k) are computed exactly in
 Q(zeta_2l) and converted to complex once, not assembled from floating
 half-angle exponentials.
+
+Every generator built here is monomial: one nonzero per row and per
+column, a permutation times a diagonal of phases.  `verify_relations`
+and the right side of `lame_residual` multiply such matrices by index
+gathers on (perm, phase) and sum by numpy reductions, so the printed
+deviations do not depend on the BLAS or its thread count.  Any other
+input (a conjugated set, a pair with a zero row) takes dense products,
+which stay the reference the gather path is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -415,41 +424,112 @@ def conjugate_generators(gens: GeneratorSet, m: np.ndarray) -> GeneratorSet:
     return GeneratorSet(mats, gens.l, gens.zeta, "custom")
 
 
+def _monomial(m: np.ndarray):
+    """(perm, phase) with m[i, perm[i]] = phase[i], or None.
+
+    None unless every row and every column holds exactly one nonzero;
+    NaN and inf count as nonzero.
+    """
+    nz = m != 0
+    if not ((nz.sum(axis=1) == 1).all() and (nz.sum(axis=0) == 1).all()):
+        return None
+    perm = nz.argmax(axis=1)
+    return perm, m[np.arange(len(perm)), perm]
+
+
+def _monomial_product(a, b):
+    # row i of A B is A's phase in row i times row perm_a[i] of B
+    (pa, fa), (pb, fb) = a, b
+    return pb[pa], fa * fb[pa]
+
+
+def _monomial_power(a, l: int):
+    out = a
+    for _ in range(l - 1):
+        out = _monomial_product(out, a)
+    return out
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    return x.real**2 + x.imag**2
+
+
+def _monomial_distance(a, b, z: complex = 1.0) -> float:
+    """Frobenius norm of A - z B, summed by numpy rather than the BLAS."""
+    (pa, fa), (pb, fb) = a, b
+    zb = z * fb
+    sq = np.where(pa == pb, _abs2(fa - zb), _abs2(fa) + _abs2(zb))
+    return math.sqrt(np.sum(sq))
+
+
+def _gather_deviations(monos, zeta: complex, l: int):
+    """Pair and power deviations of monomial generators, by index gathers."""
+    dim = len(monos[0][0])
+    eye = (np.arange(dim), np.ones(dim, dtype=complex))
+    pairs = {
+        (j, k): _monomial_distance(
+            _monomial_product(monos[j], monos[k]),
+            _monomial_product(monos[k], monos[j]),
+            zeta,
+        )
+        for j in range(len(monos))
+        for k in range(j + 1, len(monos))
+    }
+    powers = [_monomial_distance(_monomial_power(t, l), eye) for t in monos]
+    return pairs, powers
+
+
+def _dense_deviations(mats, zeta: complex, l: int):
+    """Pair and power deviations by dense products: the reference path."""
+    eye = np.eye(mats[0].shape[0], dtype=complex)
+    pairs = {
+        (j, k): float(np.linalg.norm(mats[j] @ mats[k] - zeta * (mats[k] @ mats[j])))
+        for j in range(len(mats))
+        for k in range(j + 1, len(mats))
+    }
+    powers = [float(np.linalg.norm(np.linalg.matrix_power(t, l) - eye)) for t in mats]
+    return pairs, powers
+
+
 def verify_relations(gens: GeneratorSet, tol: float = DEFAULT_TOL) -> RelationReport:
-    """Check t_j t_k = zeta t_k t_j (j < k) and t_k^l = 1 numerically."""
-    mats = gens.matrices
-    zeta = gens.zeta
-    eye = np.eye(gens.dim, dtype=complex)
-    max_pair = 0.0
-    pair_failures = []
-    for j in range(len(mats)):
-        for k in range(j + 1, len(mats)):
-            dev = float(
-                np.linalg.norm(mats[j] @ mats[k] - zeta * (mats[k] @ mats[j]))
-            )
-            max_pair = max(max_pair, dev)
-            if dev > tol:
-                pair_failures.append((j + 1, k + 1, dev))
-    max_power = 0.0
-    power_failures = []
-    for k, t in enumerate(mats):
-        dev = float(np.linalg.norm(np.linalg.matrix_power(t, gens.l) - eye))
-        max_power = max(max_power, dev)
-        if dev > tol:
-            power_failures.append(k + 1)
-    passed = not pair_failures and not power_failures
+    """Check t_j t_k = zeta t_k t_j (j < k) and t_k^l = 1 numerically.
+
+    A set whose matrices are all monomial (one nonzero per row and per
+    column, as every set `t_generators` and `clifford_generators` build)
+    is checked by index gathers in O(n^2 dim + n l dim), and its
+    deviations are summed without the BLAS, so they do not depend on its
+    thread count.  Any other set takes the dense products, which are the
+    reference.  A non-finite deviation fails and shows in the maximum.
+    """
+    monos = [_monomial(m) for m in gens.matrices]
+    with np.errstate(invalid="ignore", over="ignore"):
+        if all(m is not None for m in monos):
+            pairs, powers = _gather_deviations(monos, gens.zeta, gens.l)
+        else:
+            pairs, powers = _dense_deviations(gens.matrices, gens.zeta, gens.l)
+    pair_failures = tuple(
+        (j + 1, k + 1, dev) for (j, k), dev in pairs.items() if not dev <= tol
+    )
+    power_failures = tuple(k + 1 for k, dev in enumerate(powers) if not dev <= tol)
     return RelationReport(
-        passed=passed,
+        passed=not pair_failures and not power_failures,
         tolerance=tol,
-        max_pair_deviation=max_pair,
-        max_power_deviation=max_power,
-        pair_failures=tuple(pair_failures),
-        power_failures=tuple(power_failures),
+        # np.max keeps a NaN, where max(0.0, nan) would drop it
+        max_pair_deviation=float(np.max(list(pairs.values()), initial=0.0)),
+        max_power_deviation=float(np.max(powers, initial=0.0)),
+        pair_failures=pair_failures,
+        power_failures=power_failures,
     )
 
 
 def lame_residual(gens: GeneratorSet, coeffs) -> float:
-    """Frobenius norm of (sum_k x_k t_k)^l - sum_k x_k^l t_k^l."""
+    """Frobenius norm of (sum_k x_k t_k)^l - sum_k x_k^l t_k^l.
+
+    The left side is a dense matrix power.  On the right, a monomial t_k
+    adds x_k^l times the phases of t_k^l at their positions, found by
+    index gathers; any other t_k adds x_k^l times its dense power, the
+    reference path.
+    """
     coeffs = [complex(c) for c in coeffs]
     if len(coeffs) != len(gens.matrices):
         raise ValueError("need one coefficient per generator")
@@ -458,8 +538,14 @@ def lame_residual(gens: GeneratorSet, coeffs) -> float:
         lhs = lhs + c * t
     lhs = np.linalg.matrix_power(lhs, gens.l)
     rhs = np.zeros_like(lhs)
+    rows = np.arange(gens.dim)
     for c, t in zip(coeffs, gens.matrices):
-        rhs = rhs + c**gens.l * np.linalg.matrix_power(t, gens.l)
+        mono = _monomial(t)
+        if mono is None:
+            rhs = rhs + c**gens.l * np.linalg.matrix_power(t, gens.l)
+        else:
+            perm, phase = _monomial_power(mono, gens.l)
+            rhs[rows, perm] += c**gens.l * phase
     return float(np.linalg.norm(lhs - rhs))
 
 

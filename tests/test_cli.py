@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -93,7 +94,9 @@ def test_gen_json_bytes_pinned(capsys):
 def test_gen_json_bytes_hashed(capsys):
     # sha256 over the matrices and the verdict of every tau and taw set
     # with 2 <= l <= 5, n <= 4 and every pauli set with n <= 6; the
-    # deviation floats depend on the BLAS and are left out.  Signed zeros
+    # deviation floats are left out, since they are rounding noise of the
+    # product and summation order (held fixed by the gather path, see
+    # test_gen_report_does_not_depend_on_blas_threads).  Signed zeros
     # count: pauli's sigma_2 and tau's t_2 at l = 2 are equal in value but
     # carry their -0.0 in different entries
     cases = [
@@ -109,6 +112,22 @@ def test_gen_json_bytes_hashed(capsys):
     assert digest.hexdigest() == (
         "3d41f1a665a2c1fc3f040105053682f0e92cbc958f3522bf5adf7aa5f59792a9"
     )
+
+
+def test_gen_report_does_not_depend_on_blas_threads():
+    # the deviations of monomial generators are computed by index gathers
+    # and numpy sums, not BLAS products; with dense products the taw report
+    # at (5, 5) printed max_pair_deviation 2.186768153629606e-15 at one
+    # OpenBLAS thread and 2.1867681536296064e-15 at two
+    args = [sys.executable, "-m", "weylclifford.cli", "gen", "--n", "5", "--l", "5",
+            "--variant", "taw"]
+    outs = [
+        subprocess.run(args, capture_output=True, check=True,
+                       env=dict(os.environ, OPENBLAS_NUM_THREADS=str(t))).stdout
+        for t in (1, 2)
+    ]
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["report"]["passed"]
 
 
 @pytest.mark.parametrize("target", ["missing/x.json", "."])
