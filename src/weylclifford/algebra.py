@@ -323,7 +323,7 @@ def lame_check(sig: AlgebraSignature, coeffs):
     n, l, m = sig.n, sig.l, sig.cyclotomic_order
     order = l // gcd(sig.zeta_power, l)  # M, the order of q
     big = l // order  # L
-    ladders = [[CyclotomicNumber.one(m)] for _ in coeffs]  # [k][x] = a_k^(M x)
+    ladders = [[None] for _ in coeffs]  # [k][x] = a_k^(M x) for x >= 1
     terms: dict = {}
     for cuts in combinations(range(big + n - 1), n - 1):  # stars and bars
         f = [b - a - 1 for a, b in zip((-1,) + cuts, cuts + (big + n - 1,))]

@@ -25,13 +25,18 @@ Phases that involve half-angles (nu, alpha_k) are computed exactly in
 Q(zeta_2l) and converted to complex once, not assembled from floating
 half-angle exponentials.
 
-Every generator built here is monomial: one nonzero per row and per
-column, a permutation times a diagonal of phases.  `verify_relations`
-and the right side of `lame_residual` multiply such matrices by index
-gathers on (perm, phase) and sum by numpy reductions, so the printed
-deviations do not depend on the BLAS or its thread count.  Any other
-input (a conjugated set, a pair with a zero row) takes dense products,
-which stay the reference the gather path is tested against.
+Every generator built here is a Kronecker word of monomial site
+factors (one nonzero per row and per column, a permutation times a
+diagonal of phases), and a `GeneratorSet` keeps it in that form.  Its
+monomial form (perm, phase) is read once, at construction, from the
+small factors; its dense matrices are made on first read and then
+kept.  `verify_relations` and `lame_residual` read the monomial form.
+They multiply by index gathers and sum the deviations by numpy
+reductions, so the printed deviations do not depend on the BLAS or its
+thread count.  The left side of the power-sum residual, a dense BLAS
+power, starts from the phases scattered into one zero matrix.  Any
+other input (a conjugated set, a pair with a zero row) takes dense
+products, which stay the reference the gather path is tested against.
 """
 
 from __future__ import annotations
@@ -81,24 +86,46 @@ class ReducibleRepresentationError(ValueError):
     """The pair cannot be standardized: it splits into smaller blocks."""
 
 
-@dataclass
 class GeneratorSet:
-    """An ordered tuple of generator matrices with its relation data."""
+    """An ordered tuple of generators with their relation data.
 
-    matrices: tuple
-    l: int
-    zeta: complex
-    labeling: str = "custom"
+    Each generator is held as a Kronecker word (scale, factors): the
+    product reduce(np.kron, factors), times scale unless scale is None.
+    A matrix passed in is a one-factor word with no scale.  The monomial
+    form (perm, phase) of every word is read once, at construction, from
+    its small factors (None for a word that is not monomial); the dense
+    `matrices` tuple is made on first read and then kept.  So a matrix
+    passed in must not be changed in place afterwards: the checks would
+    read its form from before the change.
+    """
 
-    def __post_init__(self):
-        self.matrices = tuple(np.asarray(m, dtype=complex) for m in self.matrices)
+    def __init__(self, matrices, l: int, zeta: complex, labeling: str = "custom"):
+        self.l, self.zeta, self.labeling = l, zeta, labeling
+        self._set_words((None, (np.asarray(m, dtype=complex),)) for m in matrices)
+
+    @classmethod
+    def _from_words(cls, words, l: int, zeta: complex, labeling: str) -> "GeneratorSet":
+        gens = cls((), l, zeta, labeling)
+        gens._set_words(words)
+        return gens
+
+    def _set_words(self, words) -> None:
+        self._words = tuple(words)
+        self._monomials = tuple(_word_monomial(w) for w in self._words)
+        self._matrices = None
+
+    @property
+    def matrices(self) -> tuple:
+        if self._matrices is None:
+            self._matrices = tuple(_word_matrix(w) for w in self._words)
+        return self._matrices
 
     @property
     def dim(self) -> int:
-        return self.matrices[0].shape[0]
+        return math.prod(f.shape[0] for f in self._words[0][1])
 
     def __len__(self):
-        return len(self.matrices)
+        return len(self._words)
 
     def __iter__(self):
         return iter(self.matrices)
@@ -133,10 +160,6 @@ def _zeta(l: int) -> complex:
 def _nu(l: int) -> complex:
     # nu = zeta_l^{(l+1)/2} = zeta_{2l}^{l+1}, exact before conversion
     return complex(root_of_unity(2 * l, l + 1).to_complex())
-
-
-def _kron_all(factors) -> np.ndarray:
-    return reduce(np.kron, factors)
 
 
 def pauli(i: int) -> np.ndarray:
@@ -198,23 +221,22 @@ def conjugated_triple(l: int, m: np.ndarray):
 
 
 def _string_generators(n_gens: int, rows, factors: dict, diag, scales=None):
-    """Generators read from the site-exponent rows of L or L' (`commforms`).
+    """Generator words read from the site-exponent rows of L or L' (`commforms`).
 
     Row r holds the exponents (a, b) of U^a V^b in each tensor slot, and
-    generator r is the Kronecker product over the slots of
-    factors[(a, b)], (0, 0) being the identity; with `scales`, pair k's
-    two generators carry scales[k].  An odd count appends `diag` in
-    every slot.
+    generator r is the Kronecker word over the slots of factors[(a, b)],
+    (0, 0) being the identity; with `scales`, pair k's two generators
+    carry scales[k].  An odd count appends `diag` in every slot.
     """
     pairs, slots = n_gens // 2, (n_gens + 1) // 2
     factors = {(0, 0): np.eye(len(diag), dtype=complex), **factors}
-    mats = []
+    words = []
     for r, row in enumerate(_pair_blocks(2 * slots, *rows)[:2 * pairs]):
-        mat = _kron_all([factors[a, b] for a, b in zip(row[0::2], row[1::2])])
-        mats.append(mat if scales is None else scales[r // 2] * mat)
+        scale = None if scales is None else scales[r // 2]
+        words.append((scale, tuple(factors[a, b] for a, b in zip(row[0::2], row[1::2]))))
     if n_gens % 2:
-        mats.append(_kron_all([diag] * slots))
-    return tuple(mats)
+        words.append((None, (diag,) * slots))
+    return words
 
 
 def clifford_generators(n: int, include_odd: bool = False) -> GeneratorSet:
@@ -230,8 +252,8 @@ def clifford_generators(n: int, include_odd: bool = False) -> GeneratorSet:
         raise ValueError("need at least one generator")
     s1, s2, s3 = pauli(1), pauli(2), pauli(3)
     factors = {(1, 0): s1, (1, 1): s2, (0, 1): s3}
-    mats = _string_generators(2 * n + include_odd, _L, factors, s3)
-    return GeneratorSet(mats, 2, -1.0 + 0j, "pauli-clifford")
+    words = _string_generators(2 * n + include_odd, _L, factors, s3)
+    return GeneratorSet._from_words(words, 2, -1.0 + 0j, "pauli-clifford")
 
 
 def t_generators(n_gens: int, l: int, variant: str = "tau") -> GeneratorSet:
@@ -252,7 +274,7 @@ def t_generators(n_gens: int, l: int, variant: str = "tau") -> GeneratorSet:
         site1, site2, string = tau_triple(l, "tau")
         factors = {(1, 0): site1, (1, 1): site2, (0, 1): string}
         # the unit scale sets the sign of zeros that the pinned gen bytes carry
-        mats = _string_generators(n_gens, _L, factors, string, [1.0 + 0j] * pairs)
+        words = _string_generators(n_gens, _L, factors, string, [1.0 + 0j] * pairs)
     else:
         u, v = weyl_pair(l)
         string = u.conj().T @ v
@@ -262,8 +284,8 @@ def t_generators(n_gens: int, l: int, variant: str = "tau") -> GeneratorSet:
             for k in range(1, pairs + 1)
         ]
         factors = {(1, 0): u, (0, 1): v, (-1, 1): string}
-        mats = _string_generators(n_gens, _LPRIME, factors, _nu(l) * string, alphas)
-    return GeneratorSet(mats, l, _zeta(l), variant)
+        words = _string_generators(n_gens, _LPRIME, factors, _nu(l) * string, alphas)
+    return GeneratorSet._from_words(words, l, _zeta(l), variant)
 
 
 def extract_tau_site(gens: GeneratorSet, i: int, k: int) -> np.ndarray:
@@ -437,6 +459,30 @@ def _monomial(m: np.ndarray):
     return perm, m[np.arange(len(perm)), perm]
 
 
+def _kron_monomials(a, b):
+    # row i db + j of A (x) B holds A's phase in row i times B's in row j,
+    # at column perm_a[i] db + perm_b[j], as np.kron multiplies them
+    (pa, fa), (pb, fb) = a, b
+    db = len(pb)
+    return (pa[:, None] * db + pb).ravel(), (fa[:, None] * fb).ravel()
+
+
+def _word_monomial(word):
+    """(perm, phase) of a word's product, combined from its factors, or None."""
+    scale, factors = word
+    monos = [_monomial(f) for f in factors]
+    if any(m is None for m in monos):
+        return None
+    perm, phase = reduce(_kron_monomials, monos)
+    return perm, phase if scale is None else scale * phase
+
+
+def _word_matrix(word) -> np.ndarray:
+    scale, factors = word
+    mat = reduce(np.kron, factors)
+    return mat if scale is None else scale * mat
+
+
 def _monomial_product(a, b):
     # row i of A B is A's phase in row i times row perm_a[i] of B
     (pa, fa), (pb, fb) = a, b
@@ -494,14 +540,15 @@ def _dense_deviations(mats, zeta: complex, l: int):
 def verify_relations(gens: GeneratorSet, tol: float = DEFAULT_TOL) -> RelationReport:
     """Check t_j t_k = zeta t_k t_j (j < k) and t_k^l = 1 numerically.
 
-    A set whose matrices are all monomial (one nonzero per row and per
+    A set whose generators are all monomial (one nonzero per row and per
     column, as every set `t_generators` and `clifford_generators` build)
-    is checked by index gathers in O(n^2 dim + n l dim), and its
-    deviations are summed without the BLAS, so they do not depend on its
-    thread count.  Any other set takes the dense products, which are the
-    reference.  A non-finite deviation fails and shows in the maximum.
+    is checked by index gathers on the (perm, phase) form read at
+    construction, in O(n^2 dim + n l dim), and its deviations are summed
+    without the BLAS, so they do not depend on its thread count.  Any
+    other set takes the dense products, which are the reference.  A
+    non-finite deviation fails and shows in the maximum.
     """
-    monos = [_monomial(m) for m in gens.matrices]
+    monos = gens._monomials
     with np.errstate(invalid="ignore", over="ignore"):
         if all(m is not None for m in monos):
             pairs, powers = _gather_deviations(monos, gens.zeta, gens.l)
@@ -525,27 +572,28 @@ def verify_relations(gens: GeneratorSet, tol: float = DEFAULT_TOL) -> RelationRe
 def lame_residual(gens: GeneratorSet, coeffs) -> float:
     """Frobenius norm of (sum_k x_k t_k)^l - sum_k x_k^l t_k^l.
 
-    The left side is a dense matrix power.  On the right, a monomial t_k
-    adds x_k^l times the phases of t_k^l at their positions, found by
-    index gathers; any other t_k adds x_k^l times its dense power, the
-    reference path.
+    A monomial t_k adds x_k times its phases into the sum, and x_k^l
+    times the phases of t_k^l into the right side, at their positions,
+    found by index gathers; any other t_k adds x_k t_k and x_k^l times
+    its dense power, the reference path.  The left side is a dense
+    matrix power of the sum.
     """
     coeffs = [complex(c) for c in coeffs]
-    if len(coeffs) != len(gens.matrices):
+    if len(coeffs) != len(gens):
         raise ValueError("need one coefficient per generator")
     lhs = np.zeros((gens.dim, gens.dim), dtype=complex)
-    for c, t in zip(coeffs, gens.matrices):
-        lhs = lhs + c * t
-    lhs = np.linalg.matrix_power(lhs, gens.l)
     rhs = np.zeros_like(lhs)
     rows = np.arange(gens.dim)
-    for c, t in zip(coeffs, gens.matrices):
-        mono = _monomial(t)
+    for k, (c, mono) in enumerate(zip(coeffs, gens._monomials)):
         if mono is None:
+            t = gens.matrices[k]
+            lhs = lhs + c * t
             rhs = rhs + c**gens.l * np.linalg.matrix_power(t, gens.l)
         else:
+            lhs[rows, mono[0]] += c * mono[1]
             perm, phase = _monomial_power(mono, gens.l)
             rhs[rows, perm] += c**gens.l * phase
+    lhs = np.linalg.matrix_power(lhs, gens.l)
     return float(np.linalg.norm(lhs - rhs))
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -223,6 +224,48 @@ def test_verify_lame_tolerance_is_relative(capsys):
     rc, out, _ = run_cli(args + ["--tol", "1e-30"], capsys)
     obj = json.loads(out)
     assert rc == 1 and obj["symbolic_pass"] and not obj["passed"]
+
+
+def test_verify_lame_judges_each_trial_against_its_own_scale(capsys):
+    # the identity holds at (4, 32), but rounding in X^l grows like
+    # (sum_k |a_k|)^l: the residual 1.5e36 is ~1e-20 of that scale, and
+    # was judged as a failure against tol * sum_k |a_k|^l * sqrt(dim)
+    args = ["verify-lame", "--n", "4", "--l", "32", "--trials", "1", "--seed", "0"]
+    rc, out, _ = run_cli(args, capsys)
+    obj = json.loads(out)
+    assert rc == 0 and obj["passed"] and obj["symbolic_pass"]
+    assert obj["matrix_max_residual"] > 1e30
+
+
+def test_verify_lame_scale_past_the_float_range_fails_an_infinite_residual(capsys):
+    # (sum_k |a_k|)^200 overflows a float here and so does the residual:
+    # the run reports a failure, with no OverflowError traceback
+    args = ["verify-lame", "--n", "2", "--l", "200", "--trials", "1", "--seed", "3"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc, out, _ = run_cli(args, capsys)
+    obj = json.loads(out)
+    assert rc == 1 and obj["symbolic_pass"] and not obj["passed"]
+    assert obj["matrix_max_residual"] == math.inf
+
+
+VERIFY_LAME_AT_THE_CAP = """
+import resource, sys
+from weylclifford import cli
+rc = cli.main(["verify-lame", "--n", "20", "--l", "2", "--trials", "1"])
+sys.stderr.write(f"{rc} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}")
+"""
+
+
+def test_verify_lame_at_the_cap_builds_no_dense_generators():
+    # 20 generators at dim 1024 are 335 MB as dense matrices; the run
+    # reads their (perm, phase) form only and peaked at 81 MB of RSS, where
+    # building them peaked at 407 MB (ru_maxrss is in KiB on Linux)
+    err = subprocess.run(
+        [sys.executable, "-c", VERIFY_LAME_AT_THE_CAP],
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stderr.split()
+    assert err[0] == "0"
+    assert int(err[1]) < 200 * 1024
 
 
 def test_verify_lame_usage(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import subprocess
 import sys
 from functools import reduce
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_unitary
 from weylclifford import matrep
+from weylclifford.algebra import AlgebraSignature
 from weylclifford.commforms import clifford_form, matrix_L, matrix_Lprime
 from weylclifford.matrep import (
     GeneratorSet,
@@ -37,6 +39,7 @@ from weylclifford.matrep import (
     weyl_pair,
 )
 from weylclifford.matrep import _monomial
+from weylclifford.sampling import sample_coefficients
 
 
 def zeta(l):
@@ -594,6 +597,36 @@ def test_monomial_detection():
     assert all(_monomial(t) is None for t in moved)
 
 
+def word_sets():
+    """Every tau and taw set with n <= 7, l <= 7, dim <= 1024, and the
+    Pauli sets of 1-13 generators (dim <= 128)."""
+    for variant in ("tau", "taw"):
+        for n, l in product(range(1, 8), range(2, 8)):
+            if l ** ((n + 1) // 2) <= 1024:
+                yield t_generators(n, l, variant)
+    for n in range(1, 14):
+        yield clifford_generators(n // 2, include_odd=bool(n % 2))
+
+
+def test_word_monomials_are_those_of_the_dense_matrices():
+    # the (perm, phase) form combined from the site factors in Kronecker
+    # order has the bits of _monomial of the dense product, scale included
+    for gens in word_sets():
+        for (perm, phase), t in zip(gens._monomials, gens.matrices):
+            ref_perm, ref_phase = _monomial(t)
+            assert np.array_equal(perm, ref_perm)
+            assert np.array_equal(phase.view(np.int64), ref_phase.view(np.int64))
+
+
+def test_dense_generators_are_built_once_on_first_read():
+    gens = t_generators(5, 3, "taw")
+    assert gens._matrices is None
+    verify_relations(gens)
+    lame_residual(gens, [1, 2, 3, 4, 5])
+    assert gens._matrices is None and gens.dim == 27 and len(gens) == 5
+    assert gens.matrices is gens.matrices
+
+
 @st.composite
 def monomial_sets(draw):
     """Monomial sets that pass (a generator set moved by a random monomial
@@ -641,8 +674,12 @@ def test_gather_path_matches_dense_path(case):
     assert all(_monomial(t) is not None for t in gens.matrices)
     report, residual = verify_relations(gens), lame_residual(gens, coeffs)
     with pytest.MonkeyPatch.context() as mp:
+        # the (perm, phase) form is read at construction, so the reference
+        # set must be built while every matrix reads as not monomial
         mp.setattr(matrep, "_monomial", lambda m: None)
-        ref, ref_residual = verify_relations(gens), lame_residual(gens, coeffs)
+        dense = as_set(gens.matrices, gens.l)
+        assert all(m is None for m in dense._monomials)
+        ref, ref_residual = verify_relations(dense), lame_residual(dense, coeffs)
     assert report.passed == ref.passed
     assert [f[:2] for f in report.pair_failures] == [f[:2] for f in ref.pair_failures]
     assert all(deviations_close(a[2], b[2]) for a, b in zip(report.pair_failures, ref.pair_failures))
@@ -654,6 +691,27 @@ def test_gather_path_matches_dense_path(case):
     scale = sum(abs(c) ** gens.l * np.abs(t).max() ** gens.l for c, t in zip(coeffs, gens))
     assert math.isclose(residual, ref_residual, rel_tol=1e-12,
                         abs_tol=1e-12 * scale * math.sqrt(gens.dim))
+
+
+@pytest.mark.parametrize("n, l", [(4, 8), (2, 32)])
+def test_flipped_phase_reads_far_above_the_power_sum_scale(n, l):
+    # verify-lame judges a trial's residual against tol (sum_k |a_k|)^l
+    # sqrt(dim), tol = 1e-9: a bound on rounding that must not hide a fault.
+    # With one phase of t_1 flipped, the residual stays >= 1e-7 of it (at
+    # least 7.9e-7 here), while the holding identity reads ~1e-17 or less
+    gens = t_generators(n, l, "tau")
+    mats = [t.copy() for t in gens.matrices]
+    rows, cols = np.nonzero(mats[0])
+    mats[0][rows[0], cols[0]] *= -1
+    faulty = as_set(mats, l)
+    rng = random.Random(0)
+    for _ in range(3):
+        draw = sample_coefficients(rng, AlgebraSignature(n, l).cyclotomic_order, n)
+        coeffs = [complex(c.to_complex()) for c in draw]
+        assert coeffs[0] != 0
+        scale = sum(map(abs, coeffs)) ** l * math.sqrt(gens.dim)
+        assert lame_residual(gens, coeffs) <= 1e-15 * scale
+        assert lame_residual(faulty, coeffs) >= 1e-7 * scale
 
 
 CAP_COEFFS = [0.5, -0.5j, 0.25, 0.5 + 0.25j, -0.25, 0.75j]
